@@ -11,7 +11,6 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -242,59 +241,6 @@ func BenchmarkEmbed2DParallel(b *testing.B) {
 
 func BenchmarkEmbedLex3Parallel(b *testing.B) {
 	benchEmbedParallel(b, embed.Mode{LexDepth: 3})
-}
-
-// BenchmarkBatchEmbed measures the batch-embedding pass: a design's
-// worth of fanin-tree problems pushed through embed.SolveBatch with a
-// shared worker pool and pooled scratch, against the same problems
-// solved one at a time. Results are bit-identical either way (see
-// internal/oracle TestBatchEmbedAgreement); the delta is pure
-// scheduling and arena-reuse gain.
-func BenchmarkBatchEmbed(b *testing.B) {
-	mkBatch := func() []*embed.Problem {
-		modes := []embed.Mode{
-			{LexDepth: 1},
-			{LexDepth: 3},
-			{LexDepth: 1, Delay: embed.QuadraticDelay},
-		}
-		var probs []*embed.Problem
-		for i := 0; i < 12; i++ {
-			probs = append(probs, embedProblem(10+2*(i%3), modes[i%len(modes)]))
-		}
-		return probs
-	}
-	b.Run("serial", func(b *testing.B) {
-		probs := mkBatch()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, errs := embed.SolveBatch(context.Background(), probs, 1)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	// At least two workers so the shared-queue path runs even on one
-	// core (there it measures pure scheduling overhead; the gain needs
-	// cores).
-	batchWorkers := runtime.GOMAXPROCS(0)
-	if batchWorkers < 2 {
-		batchWorkers = 2
-	}
-	b.Run(fmt.Sprintf("batched/workers=%d", batchWorkers), func(b *testing.B) {
-		probs := mkBatch()
-		w := batchWorkers
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, errs := embed.SolveBatch(context.Background(), probs, w)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 func benchNetlist(b *testing.B, luts int) *netlist.Netlist {

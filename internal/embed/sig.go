@@ -223,13 +223,14 @@ func totalLess(m Mode, a, b *Sig) bool {
 	return false
 }
 
-// augment extends a signature across an edge: wire cost adds to Cost,
-// wire delay adds to every live arrival component (every recorded path
-// passes through this wire). The result is a non-branching solution.
-func augment(m Mode, s Sig, e Edge) Sig {
-	out := s
-	out.Cost += e.Cost
-	out.Branch = 0
+// augmentInto writes into dst the signature s extended across edge e:
+// wire cost adds to Cost, wire delay adds to every live arrival
+// component (every recorded path passes through this wire). The result
+// is a non-branching solution. dst may alias src.
+func augmentInto(m Mode, dst, src *Sig, e *Edge) {
+	*dst = *src
+	dst.Cost += e.Cost
+	dst.Branch = 0
 	var wireDelay float64
 	switch m.Delay {
 	case LinearDelay:
@@ -237,25 +238,24 @@ func augment(m Mode, s Sig, e Edge) Sig {
 	case QuadraticDelay:
 		// Route delay is (stem length)²; extending the stem by e.Delay
 		// adds the difference of squares.
-		l0 := s.R
+		l0 := dst.R
 		l1 := l0 + e.Delay
 		wireDelay = l1*l1 - l0*l0
-		out.R = l1
+		dst.R = l1
 	case ElmoreDelay:
 		// d = c·(R + r/2) with r = c = e.Delay per unit length.
-		wireDelay = e.Delay * (s.R + e.Delay/2)
-		out.R = s.R + e.Delay
+		wireDelay = e.Delay * (dst.R + e.Delay/2)
+		dst.R += e.Delay
 	}
 	depth := m.lexDepth()
 	for i := 0; i < depth; i++ {
-		if out.D[i] != negInf {
-			out.D[i] += wireDelay
+		if dst.D[i] != negInf {
+			dst.D[i] += wireDelay
 		}
 	}
-	if m.MC && out.W > 0 {
-		out.TC += wireDelay
+	if m.MC && dst.W > 0 {
+		dst.TC += wireDelay
 	}
-	return out
 }
 
 // merge combines two child signatures meeting at a branching vertex

@@ -225,3 +225,10 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// augment is the by-value form of augmentInto.
+func augment(m Mode, s Sig, e Edge) Sig {
+	var out Sig
+	augmentInto(m, &out, &s, &e)
+	return out
+}
