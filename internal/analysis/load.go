@@ -248,6 +248,13 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 				base == "testdata" || base == "vendor") {
 				return filepath.SkipDir
 			}
+			// A subdirectory with its own go.mod is another module,
+			// which "./..." leaves out, as the go tool does.
+			if p != root {
+				if _, serr := os.Stat(filepath.Join(p, "go.mod")); serr == nil {
+					return filepath.SkipDir
+				}
+			}
 			if names, ferr := l.sourceFiles(p); ferr == nil && len(names) > 0 {
 				relp, rerr := filepath.Rel(l.ModuleDir, p)
 				if rerr != nil {

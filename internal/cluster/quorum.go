@@ -79,8 +79,8 @@ type Quorum struct {
 	replicas map[string]Replica // static after construction
 	cfg      QuorumConfig
 
-	// repairCtx detaches read-repair writes from request lifetimes;
-	// the owning node cancels it on Close.
+	// repairCtx detaches read-repair and straggler replica writes from
+	// request lifetimes; the owning node cancels it on Close.
 	repairCtx context.Context
 
 	writes      atomic.Int64
@@ -118,17 +118,23 @@ func NewQuorum(ring *Ring, replicas []Replica, cfg QuorumConfig, repairCtx conte
 func (q *Quorum) Config() QuorumConfig { return q.cfg }
 
 // Write replicates rec to its N owners and returns once W of them
-// acked. Slower replicas keep receiving the write in the background
-// (their goroutines run to completion under the per-op timeout), so a
-// successful Write usually converges to all N shortly after.
+// acked. Slower replicas keep receiving the write in the background:
+// each replica store runs under repairCtx and the per-op timeout, not
+// under ctx, so a caller that cancels ctx as soon as Write returns
+// does not cut the stragglers off, and a successful Write usually
+// converges to all N shortly after. ctx bounds only the wait for acks.
 func (q *Quorum) Write(ctx context.Context, rec Record) error {
 	owners := q.ring.Owners(rec.Hash, q.cfg.N)
 	q.writes.Add(1)
+	if err := ctx.Err(); err != nil {
+		q.writeFails.Add(1)
+		return fmt.Errorf("cluster: write interrupted at 0/%d acks: %w", q.cfg.W, err)
+	}
 	acks := make(chan error, len(owners))
 	for _, id := range owners {
 		rep := q.replicas[id]
 		go func() {
-			sctx, cancel := context.WithTimeout(ctx, q.cfg.OpTimeout)
+			sctx, cancel := context.WithTimeout(q.repairCtx, q.cfg.OpTimeout)
 			defer cancel()
 			if err := sctx.Err(); err != nil {
 				acks <- err

@@ -249,6 +249,33 @@ func TestQuorumWriteReturnsAtW(t *testing.T) {
 	}
 }
 
+// TestQuorumStragglerOutlivesCaller: a caller that cancels its context
+// as soon as Write returns (as Node.watch does) must not cut off the
+// slow replica's write; the record still lands on all N owners.
+func TestQuorumStragglerOutlivesCaller(t *testing.T) {
+	q, fakes := newTestQuorum(t, 3, QuorumConfig{N: 3, R: 2, W: 2, OpTimeout: 5 * time.Second})
+	h := testHash(7)
+	owners := q.ring.Owners(h, 3)
+	slow := fakes[owners[2]]
+	slow.slow = 200 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	err := q.Write(ctx, doneRec(h, 1, "n1"))
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, found, _ := slow.store.Get(h); found {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow replica never stored the record after the caller cancelled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestQuorumConcurrentWrites races many versions of one key from many
 // goroutines: the store must end at the maximum version everywhere the
 // writes landed, and the race detector must stay quiet.

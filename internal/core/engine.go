@@ -456,12 +456,6 @@ func (e *Engine) restoreBest() {
 	e.Placement = e.bestPL.Clone()
 }
 
-// coreDebug enables iterate tracing for development probes.
-var coreDebug = false
-
-// SetDebug toggles iterate tracing.
-func SetDebug(v bool) { coreDebug = v }
-
 // iterate runs one pass of the Fig. 11 loop; improvedLast says whether
 // the previous iteration reduced the measured period. It reports
 // whether the flow must stop (free slots exhausted).
@@ -608,16 +602,9 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 
 	emb := res.Extract(sel)
 	stopEmbed()
-	if coreDebug {
-		fmt.Printf("DBG selected cost %.1f D0 %.1f (sink arr %.1f, bound path)\n", sel.Sig.Cost, sel.Sig.D[0], a.SinkArr[sink])
-	}
 	stopApply := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Apply })
 	reps := e.apply(rt, ep, g, emb, sel, st)
 	stopApply()
-	if coreDebug {
-		ax, _ := e.analyze()
-		fmt.Printf("DBG after apply: period %.1f sinkArr %.1f\n", ax.Period, ax.SinkArr[sink])
-	}
 	if rootFree {
 		st.FFRelocations++
 	}
@@ -630,10 +617,6 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	stopApply = e.timePhase(func(p *PhaseTimes) *float64 { return &p.Apply })
 	e.postUnify(a2, reps, st)
 	stopApply()
-	if coreDebug {
-		ax, _ := e.analyze()
-		fmt.Printf("DBG after unify: period %.1f sinkArr %.1f\n", ax.Period, ax.SinkArr[sink])
-	}
 
 	// Timing-driven legalization resolves the overlaps the embedder
 	// was allowed to create.
@@ -644,10 +627,6 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	stopLegal := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Legalize })
 	lst, lerr := e.leg.Run(e.Netlist, e.Placement, e.Delay, a3)
 	stopLegal()
-	if coreDebug {
-		ax, _ := e.analyze()
-		fmt.Printf("DBG after legal: period %.1f sinkArr %.1f moves %d unif %d\n", ax.Period, ax.SinkArr[sink], lst.Moves, lst.Unified)
-	}
 	st.Unified += lst.Unified
 	if lerr != nil {
 		// Out of free slots: restore the best snapshot and stop, as
