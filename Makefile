@@ -5,15 +5,6 @@ GO ?= go
 BENCH ?= ^(BenchmarkEmbed|BenchmarkSTA)
 BENCHTIME ?= 1s
 
-# `make bench-json` records the PR perf trajectory: the steady-state
-# engine-iteration benchmark (full vs incremental), serialized by
-# cmd/benchjson into BENCH_JSON. Set BASELINE to a previous file to
-# attach vs_baseline speedups.
-ENGINE_BENCH ?= ^BenchmarkEngineIterate$$
-ENGINE_BENCHTIME ?= 5x
-BENCH_JSON ?= BENCH_0009.json
-BASELINE ?=
-
 # `make perfbench` runs one workload of the end-to-end benchmark
 # (perfbench/, see its README) for BENCH_SECONDS of measuring;
 # BENCH_SECONDS=0 makes the minimum two passes.
@@ -28,7 +19,7 @@ QUEUE ?= 64
 JOBS ?= 50
 CONCURRENCY ?= 8
 
-.PHONY: build test race vet lint lint-cold assert oracle cover serve-race check bench bench-json perfbench serve loadtest clean
+.PHONY: build test race vet lint assert oracle cover serve-race check bench perfbench serve loadtest clean
 
 # Coverage floor for the differentially-tested packages (per-package,
 # percent of statements). The oracle exists to exercise the embedder;
@@ -57,18 +48,8 @@ vet:
 # the points-to layer (aliasrace, arenaescape, chanshare).
 # Zero unsuppressed findings is part of `make check`; see
 # `go run ./cmd/replint -rules` for the catalog.
-#
-# `make lint` uses the incremental fact cache (REPLINT_CACHE, default
-# .replint-cache): unchanged packages replay stored findings without
-# reloading the module. `make lint-cold` bypasses the cache for a
-# from-scratch run.
-REPLINT_CACHE ?= .replint-cache
-
 lint:
-	$(GO) run ./cmd/replint -cache-dir $(REPLINT_CACHE) ./...
-
-lint-cold:
-	$(GO) run ./cmd/replint -no-cache ./...
+	$(GO) run ./cmd/replint ./...
 
 # Runtime invariant layer: built with -tags replassert, the embedder and
 # the STA re-verify their structural invariants (prune staircase, wave
@@ -106,19 +87,10 @@ serve-race:
 # race suite, then the service race suite.
 check: build vet lint test assert cover race serve-race
 
-# Runs the embedder/STA micro-benchmarks and records machine-readable
-# results in BENCH_embed.json (text copy in BENCH_embed.txt).
+# Runs the embedder/STA micro-benchmarks; the text results also land
+# in BENCH_embed.txt.
 bench: build
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . | tee BENCH_embed.txt
-	$(GO) run ./cmd/benchjson < BENCH_embed.txt > BENCH_embed.json
-
-# Steady-state iteration latency, full vs incremental, committed as the
-# perf-trajectory artifact ($(BENCH_JSON)). The within-file full/* vs
-# incremental/* pair is this PR's before/after; across PRs, pass
-# BASELINE=BENCH_NNNN.json to chain speedups file to file.
-bench-json: build
-	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime $(ENGINE_BENCHTIME) -benchmem . | tee $(BENCH_JSON:.json=.txt)
-	$(GO) run ./cmd/benchjson $(if $(BASELINE),-baseline $(BASELINE)) < $(BENCH_JSON:.json=.txt) > $(BENCH_JSON)
 
 # One run of the end-to-end benchmark; exits non-zero when any output
 # check or the determinism guard fails.
@@ -135,5 +107,4 @@ loadtest:
 	$(GO) run ./cmd/replload -addr http://localhost$(ADDR) -n $(JOBS) -concurrency $(CONCURRENCY)
 
 clean:
-	rm -f BENCH_embed.txt BENCH_embed.json BENCH_0006.txt BENCH_0009.txt cover.out
-	rm -rf .replint-cache
+	rm -f BENCH_embed.txt cover.out

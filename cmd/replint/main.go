@@ -13,32 +13,17 @@
 // need module-wide facts); the package arguments select which
 // packages' findings are reported.
 //
-// With -cache-dir, replint keeps a two-tier per-package fact cache.
-// Closure-local rule findings are keyed by a content hash of the
-// package's sources, its module-local import closure, the rule set,
-// and the toolchain version; module-wide rule findings (interface
-// dispatch, reverse call edges, global field facts, caller-bound
-// points-to sets — anything an edit elsewhere in the module can
-// change) are keyed by a whole-module content hash. A fully warm run
-// skips loading and type-checking the module entirely and replays the
-// stored findings byte-identically. Editing one file fully rebuilds
-// only that package and its reverse dependencies; other packages
-// replay their closure-local findings and re-run just the module-wide
-// rules, so stale cross-package facts can never be replayed. -no-cache
-// bypasses the cache without deleting it. On the all-hit fast path no
-// type checking happens, so -v has no type-check diagnostics to show.
-//
 // Findings print with paths relative to the module root regardless of
 // -C or the working directory, so editor jump-to-line works from
-// anywhere, and are globally sorted by (file, line, col, rule) in
-// every output mode. With -json, output is an object
-// {"findings": [...], "cache": {...}} where findings carry
-// {file, line, col, rule, msg, suppressed, reason} and cache reports
-// {enabled, hits, misses, fact_builds, mod_refreshes} — suppressed
-// findings included and flagged. With -sarif, findings are emitted as a SARIF 2.1.0 log
-// suitable for GitHub code scanning upload: unsuppressed findings are
-// level=error, suppressed ones are level=note with an inSource
-// suppression carrying the directive's justification.
+// anywhere, and are globally sorted by (file, line, col, rule, msg)
+// in every output mode. With -json, output is an object
+// {"findings": [...]} where findings carry
+// {file, line, col, rule, msg, suppressed, reason} — suppressed
+// findings included and flagged. With -sarif, findings are emitted as
+// a SARIF 2.1.0 log suitable for GitHub code scanning upload:
+// unsuppressed findings are level=error, suppressed ones are
+// level=note with an inSource suppression carrying the directive's
+// justification.
 //
 // Exit status is 1 when any unsuppressed finding (or malformed replint
 // directive) is reported, 2 on operational errors.
@@ -48,11 +33,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -72,28 +55,9 @@ type jsonFinding struct {
 	Reason     string `json:"reason,omitempty"`
 }
 
-// cacheStats is the -json wire form of the fact-cache counters.
-type cacheStats struct {
-	Enabled bool `json:"enabled"`
-	// Hits counts packages whose closure-local findings replayed from
-	// the cache (full and partial hits both: neither re-runs the local
-	// rule tier).
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
-	// FactBuilds counts packages whose facts were recomputed in full
-	// this run: zero on a fully warm cache, len(packages) with the
-	// cache disabled.
-	FactBuilds int `json:"fact_builds"`
-	// ModRefreshes counts partial hits: packages whose module-wide
-	// rules re-ran because some other module package changed, while
-	// their closure-local findings replayed from the cache.
-	ModRefreshes int `json:"mod_refreshes"`
-}
-
 // jsonOutput is the top-level -json envelope.
 type jsonOutput struct {
 	Findings []jsonFinding `json:"findings"`
-	Cache    cacheStats    `json:"cache"`
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -102,10 +66,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	rules := fs.Bool("rules", false, "print the rule catalog and exit")
 	verbose := fs.Bool("v", false, "also show suppressed findings and type-check diagnostics")
 	dir := fs.String("C", "", "change to this directory before resolving the module root")
-	asJSON := fs.Bool("json", false, "emit a JSON object {findings, cache} (suppressed findings included, flagged)")
+	asJSON := fs.Bool("json", false, "emit a JSON object {findings} (suppressed findings included, flagged)")
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log (suppressed findings included as suppressed notes)")
-	cacheDir := fs.String("cache-dir", "", "persist per-package findings keyed by content hash under this directory")
-	noCache := fs.Bool("no-cache", false, "bypass the fact cache even when -cache-dir is set")
 	fs.Parse(argv)
 
 	if *rules {
@@ -157,151 +119,44 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// relFile maps a finding's absolute filename to a module-relative,
-	// forward-slash path so output is stable across -C and cwd.
-	relFile := func(name string) string {
-		if rel, err := filepath.Rel(moduleDir, name); err == nil {
-			return filepath.ToSlash(rel)
-		}
-		return filepath.ToSlash(name)
+	// Load the whole module once (the interprocedural rules need
+	// module-wide facts) and run the catalog over the requested
+	// packages in parallel.
+	mod, err := analysis.BuildModule(loader)
+	if err != nil {
+		fmt.Fprintln(stderr, "replint:", err)
+		return 2
 	}
-
-	// Cache lookup phase: resolve each requested package against both
-	// content keys. Key computation parses import clauses only — on a
-	// fully warm cache the module is never loaded or type-checked.
-	// Outcomes per package:
-	//   full hit      both tiers replay, no work;
-	//   partial hit   closure key matches but another module package
-	//                 changed — local findings replay, the module-wide
-	//                 rules re-run (their facts cross the closure);
-	//   miss          the package or an import changed — full re-run.
-	var cache *analysis.FactCache
-	var keys map[string]string
-	var modKey string
-	if *cacheDir != "" && !*noCache {
-		cache, err = analysis.NewFactCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "replint:", err)
-			return 2
-		}
-		keys, modKey, err = analysis.CacheKeys(loader, analysis.All(), paths)
-		if err != nil {
-			// Unkeyable tree (e.g. a parse error): fall back to a full
-			// uncached run rather than failing the lint.
-			fmt.Fprintln(stderr, "replint: cache disabled:", err)
-			cache = nil
-		}
-	}
-	results := map[string][]analysis.CachedFinding{}
-	cachedLocal := map[string][]analysis.CachedFinding{}
-	var missed, stale []string
 	for _, path := range paths {
-		if cache != nil {
-			local, mod, localOK, modOK := cache.Get(path, keys[path], modKey)
-			if localOK && modOK {
-				results[path] = append(local, mod...)
-				continue
-			}
-			if localOK {
-				cachedLocal[path] = local
-				stale = append(stale, path)
-				continue
-			}
-		}
-		missed = append(missed, path)
-	}
-
-	// Rebuild phase: load the whole module once (the interprocedural
-	// rules need module-wide facts), run the full catalog over missed
-	// packages and only the module-wide subset over stale ones, in
-	// parallel.
-	if len(missed)+len(stale) > 0 {
-		mod, err := analysis.BuildModule(loader)
-		if err != nil {
-			fmt.Fprintln(stderr, "replint:", err)
+		pkg := mod.Package(path)
+		if pkg == nil {
+			fmt.Fprintf(stderr, "replint: %s: not part of the module\n", path)
 			return 2
 		}
-		for _, path := range append(append([]string{}, missed...), stale...) {
-			pkg := mod.Package(path)
-			if pkg == nil {
-				fmt.Fprintf(stderr, "replint: %s: not part of the module\n", path)
-				return 2
-			}
-			if *verbose {
-				for _, terr := range pkg.TypeErrors {
-					fmt.Fprintf(stderr, "replint: typecheck (best-effort): %v\n", terr)
-				}
-			}
-		}
-		toCached := func(fs []analysis.Finding) (local, modWide []analysis.CachedFinding) {
-			local, modWide = []analysis.CachedFinding{}, []analysis.CachedFinding{}
-			for _, f := range fs {
-				cf := analysis.CachedFinding{
-					File: relFile(f.Pos.Filename), Line: f.Pos.Line, Col: f.Pos.Column,
-					Rule: f.Rule, Msg: f.Msg,
-					Suppressed: f.Suppressed, Reason: f.Reason,
-				}
-				if analysis.IsModWide(f.Rule) {
-					modWide = append(modWide, cf)
-				} else {
-					local = append(local, cf)
-				}
-			}
-			return local, modWide
-		}
-		for path, fs := range mod.RunPackages(missed, analysis.All(), 0) {
-			local, modWide := toCached(fs)
-			results[path] = append(local, modWide...)
-			if cache != nil {
-				if err := cache.Put(path, keys[path], modKey, local, modWide); err != nil {
-					fmt.Fprintln(stderr, "replint: cache write:", err)
-				}
-			}
-		}
-		if len(stale) > 0 {
-			for path, fs := range mod.RunPackages(stale, analysis.ModWideAnalyzers(), 0) {
-				// The subset run re-emits directive findings; those are
-				// closure-local and already replayed from the cache, so
-				// keep only the module-wide rules' findings.
-				_, modWide := toCached(fs)
-				results[path] = append(cachedLocal[path], modWide...)
-				if err := cache.Put(path, keys[path], modKey, cachedLocal[path], modWide); err != nil {
-					fmt.Fprintln(stderr, "replint: cache write:", err)
-				}
+		if *verbose {
+			for _, terr := range pkg.TypeErrors {
+				fmt.Fprintf(stderr, "replint: typecheck (best-effort): %v\n", terr)
 			}
 		}
 	}
+	results := mod.RunPackages(paths)
 
-	// Merge and globally sort: output order is (file, line, col, rule)
-	// regardless of package boundaries, cache hits, or worker schedule.
-	var all []analysis.CachedFinding
+	// Make every path module-relative with forward slashes, so output
+	// is stable across -C and cwd, then sort globally: output order is
+	// (file, line, col, rule, msg) regardless of package boundaries or
+	// worker schedule.
+	var all []analysis.Finding
 	for _, path := range paths {
 		all = append(all, results[path]...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.File != b.File {
-			return a.File < b.File
+	for i := range all {
+		f := &all[i].Pos
+		if rel, err := filepath.Rel(moduleDir, f.Filename); err == nil {
+			f.Filename = rel
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		// Total order: two findings can share a position and rule but
-		// differ in message (e.g. one racing write reaching two abstract
-		// objects), and sort.Slice is unstable.
-		return a.Msg < b.Msg
-	})
-
-	stats := cacheStats{Enabled: cache != nil, FactBuilds: len(missed), ModRefreshes: len(stale)}
-	if cache != nil {
-		stats.Hits, stats.Misses = cache.Hits()+cache.Partials(), cache.Misses()
+		f.Filename = filepath.ToSlash(f.Filename)
 	}
+	analysis.SortFindings(all)
 
 	machine := *asJSON || *asSARIF
 	bad := 0
@@ -309,21 +164,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if f.Suppressed {
 			if !machine && *verbose {
 				fmt.Fprintf(stdout, "%s:%d:%d: %s: %s [suppressed: %s]\n",
-					f.File, f.Line, f.Col, f.Rule, f.Msg, f.Reason)
+					f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg, f.Reason)
 			}
 			continue
 		}
 		if !machine {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Rule, f.Msg)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 		}
 		bad++
 	}
 
 	if *asJSON {
-		out := jsonOutput{Findings: []jsonFinding{}, Cache: stats}
+		out := jsonOutput{Findings: []jsonFinding{}}
 		for _, f := range all {
 			out.Findings = append(out.Findings, jsonFinding{
-				File: f.File, Line: f.Line, Col: f.Col,
+				File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
 				Rule: f.Rule, Msg: f.Msg,
 				Suppressed: f.Suppressed, Reason: f.Reason,
 			})
@@ -336,24 +191,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *asSARIF {
-		findings := make([]analysis.Finding, 0, len(all))
-		for _, f := range all {
-			findings = append(findings, analysis.Finding{
-				Pos:  token.Position{Filename: f.File, Line: f.Line, Column: f.Col},
-				Rule: f.Rule, Msg: f.Msg,
-				Suppressed: f.Suppressed, Reason: f.Reason,
-			})
-		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifReport(analysis.All(), findings)); err != nil {
+		if err := enc.Encode(sarifReport(analysis.All(), all)); err != nil {
 			fmt.Fprintln(stderr, "replint:", err)
 			return 2
 		}
-	}
-	if cache != nil {
-		fmt.Fprintf(stderr, "replint: cache: %d hit(s), %d miss(es), %d fact build(s), %d mod-rule refresh(es)\n",
-			stats.Hits, stats.Misses, stats.FactBuilds, stats.ModRefreshes)
 	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "replint: %d finding(s)\n", bad)

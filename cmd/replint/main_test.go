@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -65,29 +64,28 @@ func TestModuleRelativePaths(t *testing.T) {
 }
 
 // TestJSONOutput decodes -json output and checks the wire contract:
-// a {findings, cache} envelope with module-relative files, populated
+// a {findings} envelope with module-relative files, populated
 // positions, suppressed findings included and flagged with their
-// directive reason, and cache counters reporting a disabled cache.
+// directive reason, in the total (file, line, col, rule, msg) order.
+// A second run over the same tree must emit byte-identical output.
 func TestJSONOutput(t *testing.T) {
 	root := fixtureRoot(t)
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", root, "-json", "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
+	runJSON := func() []byte {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-C", root, "-json", "./..."}, &stdout, &stderr)
+		if code != 1 {
+			t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
+		}
+		return stdout.Bytes()
 	}
+	raw := runJSON()
 	var out jsonOutput
-	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-		t.Fatalf("output is not a JSON {findings, cache} object: %v\n%s", err, stdout.String())
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("output is not a JSON {findings} object: %v\n%s", err, raw)
 	}
 	findings := out.Findings
 	if len(findings) == 0 {
 		t.Fatal("JSON output is empty; fixtures contain findings")
-	}
-	if out.Cache.Enabled || out.Cache.Hits != 0 || out.Cache.Misses != 0 {
-		t.Errorf("cache stats without -cache-dir = %+v, want disabled zeros", out.Cache)
-	}
-	if out.Cache.FactBuilds == 0 {
-		t.Error("fact_builds = 0 on an uncached run; every package was analyzed")
 	}
 	if !sort.SliceIsSorted(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -100,9 +98,15 @@ func TestJSONOutput(t *testing.T) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
 	}) {
-		t.Error("findings are not globally sorted by (file, line, col, rule)")
+		t.Error("findings are not globally sorted by (file, line, col, rule, msg)")
+	}
+	if again := runJSON(); !bytes.Equal(raw, again) {
+		t.Errorf("second run differs from the first:\nfirst  %s\nsecond %s", raw, again)
 	}
 	var suppressed, unsuppressed int
 	for _, f := range findings {
@@ -150,146 +154,5 @@ func TestRulesCatalog(t *testing.T) {
 		if !strings.Contains(stdout.String(), directive) {
 			t.Errorf("-rules catalog does not document //%s", directive)
 		}
-	}
-}
-
-// replintJSON runs replint with -json plus extra args against the
-// fixture module and returns the decoded envelope and raw output.
-func replintJSON(t *testing.T, root string, extra ...string) (jsonOutput, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	argv := append([]string{"-C", root, "-json"}, extra...)
-	argv = append(argv, "./...")
-	code := run(argv, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	var out jsonOutput
-	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, stdout.String())
-	}
-	return out, stdout.String()
-}
-
-// TestCacheWarmRun drives the cold→warm contract end to end: the first
-// run misses every package and populates the cache; the second run over
-// the unchanged tree hits every package, performs zero fact builds, and
-// emits byte-identical findings.
-func TestCacheWarmRun(t *testing.T) {
-	root := fixtureRoot(t)
-	cacheDir := filepath.Join(t.TempDir(), "facts")
-
-	cold, coldRaw := replintJSON(t, root, "-cache-dir", cacheDir)
-	if !cold.Cache.Enabled {
-		t.Fatal("cold run: cache not enabled")
-	}
-	if cold.Cache.Hits != 0 || cold.Cache.Misses == 0 {
-		t.Errorf("cold run: %d hits / %d misses, want 0 hits and all misses", cold.Cache.Hits, cold.Cache.Misses)
-	}
-	if cold.Cache.FactBuilds != cold.Cache.Misses {
-		t.Errorf("cold run: fact_builds = %d, want %d (one per miss)", cold.Cache.FactBuilds, cold.Cache.Misses)
-	}
-
-	warm, warmRaw := replintJSON(t, root, "-cache-dir", cacheDir)
-	if warm.Cache.Misses != 0 || warm.Cache.FactBuilds != 0 {
-		t.Errorf("warm run: %d misses / %d fact builds, want 0 / 0", warm.Cache.Misses, warm.Cache.FactBuilds)
-	}
-	if warm.Cache.Hits != cold.Cache.Misses {
-		t.Errorf("warm run: %d hits, want %d", warm.Cache.Hits, cold.Cache.Misses)
-	}
-	// Byte-identical findings modulo the cache counters: compare the
-	// findings arrays re-encoded, which pins order and every field.
-	coldF, _ := json.Marshal(cold.Findings)
-	warmF, _ := json.Marshal(warm.Findings)
-	if !bytes.Equal(coldF, warmF) {
-		t.Errorf("warm findings differ from cold findings:\ncold %s\nwarm %s", coldRaw, warmRaw)
-	}
-}
-
-// copyTree duplicates a directory tree (regular files only; the
-// module stays on go1.22, which predates os.CopyFS).
-func copyTree(dst, src string) error {
-	return filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-}
-
-// TestCacheInvalidation edits one file in a scratch copy of a package
-// and checks that exactly that package misses on the next run while
-// every other entry still hits. The fixture module's internal packages
-// are leaves (nothing imports them), so a one-file edit must invalidate
-// precisely one package.
-func TestCacheInvalidation(t *testing.T) {
-	src := fixtureRoot(t)
-	root := filepath.Join(t.TempDir(), "fixture")
-	if err := copyTree(root, src); err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := filepath.Join(t.TempDir(), "facts")
-
-	cold, _ := replintJSON(t, root, "-cache-dir", cacheDir)
-	total := cold.Cache.Misses
-
-	target := filepath.Join(root, "internal", "timing", "floatcmp.go")
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(target, append(data, []byte("\n// cache-buster\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	edited, _ := replintJSON(t, root, "-cache-dir", cacheDir)
-	if edited.Cache.Misses != 1 || edited.Cache.FactBuilds != 1 {
-		t.Errorf("after one-file edit: %d misses / %d fact builds, want 1 / 1",
-			edited.Cache.Misses, edited.Cache.FactBuilds)
-	}
-	if edited.Cache.Hits != total-1 {
-		t.Errorf("after one-file edit: %d hits, want %d", edited.Cache.Hits, total-1)
-	}
-	// The edit rotates the whole-module key, so every OTHER package must
-	// re-run its module-wide rules (their facts cross the import
-	// closure) while replaying closure-local findings from the cache.
-	if edited.Cache.ModRefreshes != total-1 {
-		t.Errorf("after one-file edit: %d mod-rule refreshes, want %d",
-			edited.Cache.ModRefreshes, total-1)
-	}
-
-	// A third run over the now-unchanged tree is fully warm again: the
-	// partial entries were rewritten under the new module key.
-	warm, _ := replintJSON(t, root, "-cache-dir", cacheDir)
-	if warm.Cache.Hits != total || warm.Cache.Misses != 0 ||
-		warm.Cache.FactBuilds != 0 || warm.Cache.ModRefreshes != 0 {
-		t.Errorf("re-warmed run: %+v, want %d full hits and no rebuilds", warm.Cache, total)
-	}
-}
-
-// TestNoCacheFlag: -no-cache bypasses a populated cache entirely.
-func TestNoCacheFlag(t *testing.T) {
-	root := fixtureRoot(t)
-	cacheDir := filepath.Join(t.TempDir(), "facts")
-	replintJSON(t, root, "-cache-dir", cacheDir) // populate
-
-	out, _ := replintJSON(t, root, "-cache-dir", cacheDir, "-no-cache")
-	if out.Cache.Enabled || out.Cache.Hits != 0 {
-		t.Errorf("-no-cache run reported cache %+v, want disabled with 0 hits", out.Cache)
-	}
-	if out.Cache.FactBuilds == 0 {
-		t.Error("-no-cache run performed no fact builds")
 	}
 }

@@ -44,10 +44,7 @@ var AliasRace = &Analyzer{
 		"least one unsynchronized, un-shard-keyed write (points-to based: " +
 		"catches aliased writes through a second name that the syntactic " +
 		"capture rules miss)",
-	// ModWide: points-to sets fold in caller bindings and
-	// interface impls from anywhere in the module.
-	ModWide: true,
-	Run:     runAliasRace,
+	Run: runAliasRace,
 }
 
 func runAliasRace(pass *Pass) {

@@ -78,16 +78,7 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph rule description for `replint -rules`.
 	Doc string
-	// ModWide marks rules whose findings consume facts from outside the
-	// package's import closure: interface dispatch through the module
-	// impl index, reverse call edges, module-global storage/taint field
-	// facts, or points-to sets bound by callers anywhere in the module.
-	// The fact cache must key these findings on the whole-module content
-	// hash — an edit to ANY module package can change them — while
-	// closure-local rules stay valid under the package's own import-
-	// closure key.
-	ModWide bool
-	Run     func(*Pass)
+	Run func(*Pass)
 }
 
 // All returns the rule catalog in stable order.
@@ -120,39 +111,6 @@ var knownRules = func() map[string]bool {
 	}
 	return m
 }()
-
-// modWideRules is the set of rule IDs whose findings are valid only
-// under the whole-module key. The reserved directive rule is closure-
-// local: malformed and unknown-rule directives depend on the package's
-// own sources alone.
-var modWideRules = func() map[string]bool {
-	m := map[string]bool{}
-	for _, a := range All() {
-		if a.ModWide {
-			m[a.Name] = true
-		}
-	}
-	return m
-}()
-
-// IsModWide reports whether findings of the named rule depend on
-// module-wide facts (see Analyzer.ModWide). Unknown names — including
-// the reserved "directive" rule — are closure-local.
-func IsModWide(rule string) bool { return modWideRules[rule] }
-
-// ModWideAnalyzers returns the catalog subset with ModWide set, in the
-// same stable order as All(). The cache driver re-runs exactly these
-// rules for packages whose import-closure key still matches but whose
-// module key went stale.
-func ModWideAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if a.ModWide {
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 // RunAnalyzers applies the analyzers to one loaded package and returns
 // the findings — directive-suppressed ones included but marked — in
@@ -189,6 +147,15 @@ func runAnalyzers(mod *Module, pkg *Package, analyzers []*Analyzer) []Finding {
 			f.Reason = reason
 		}
 	}
+	SortFindings(findings)
+	return findings
+}
+
+// SortFindings orders findings by (file, line, col, rule, msg). The
+// order is total: two findings can share a position and rule but
+// differ in message (e.g. one racing write reaching two abstract
+// objects), and sort.Slice is unstable.
+func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := &findings[i], &findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -203,10 +170,6 @@ func runAnalyzers(mod *Module, pkg *Package, analyzers []*Analyzer) []Finding {
 		if a.Rule != b.Rule {
 			return a.Rule < b.Rule
 		}
-		// Total order: two findings can share a position and rule but
-		// differ in message (e.g. one racing write reaching two abstract
-		// objects), and sort.Slice is unstable.
 		return a.Msg < b.Msg
 	})
-	return findings
 }

@@ -35,10 +35,7 @@ var ArenaEscape = &Analyzer{
 	Doc: "flags pooled scratch/arena values whose points-to set escapes the " +
 		"Get/Put extent (stored to a global, sent on a channel, or returned) " +
 		"so a recycled object cannot live on under an alias",
-	// ModWide: points-to sets fold in caller bindings and
-	// interface impls from anywhere in the module.
-	ModWide: true,
-	Run:     runArenaEscape,
+	Run: runArenaEscape,
 }
 
 func runArenaEscape(pass *Pass) {

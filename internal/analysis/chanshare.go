@@ -37,10 +37,7 @@ var ChanShare = &Analyzer{
 	Doc: "flags values sent on a channel while the sender retains a written " +
 		"alias (send-then-mutate races the receiver without any shared " +
 		"variable name); hand off ownership or send a copy",
-	// ModWide: points-to sets fold in caller bindings and
-	// interface impls from anywhere in the module.
-	ModWide: true,
-	Run:     runChanShare,
+	Run: runChanShare,
 }
 
 func runChanShare(pass *Pass) {

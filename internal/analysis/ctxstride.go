@@ -27,10 +27,7 @@ var CtxStride = &Analyzer{
 	Doc: "flags condition-only and infinite loops in context-carrying code " +
 		"that never poll cancellation (ctx.Err / ctx.Done / a polling " +
 		"callee); add a strided check or bound the loop",
-	// ModWide: poll classification follows reverse call edges,
-	// which reach callers in any module package.
-	ModWide: true,
-	Run:     runCtxStride,
+	Run: runCtxStride,
 }
 
 func runCtxStride(pass *Pass) {

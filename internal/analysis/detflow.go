@@ -33,10 +33,7 @@ var DetFlow = &Analyzer{
 		"flowing into determinism sinks: frontier construction, totalLess/" +
 		"dominates, serve JSON output, golden-file writers; annotate " +
 		"deliberately nondeterministic diagnostic fields //replint:metadata",
-	// ModWide: taint field facts are module-global: a store in any
-	// package can taint a field this package reads.
-	ModWide: true,
-	Run:     runDetFlow,
+	Run: runDetFlow,
 }
 
 func runDetFlow(pass *Pass) {

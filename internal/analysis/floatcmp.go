@@ -43,10 +43,7 @@ var FloatCmp = &Analyzer{
 	Doc: "flags ==/!=/switch on float64 expressions outside designated " +
 		"//replint:floatcmp-helper functions; use an epsilon compare, or " +
 		"designate the function if bitwise equality is the intended semantics",
-	// ModWide: the zero-sentinel exemption reads module-global
-	// arithmetic-write facts: any package may op-assign a field.
-	ModWide: true,
-	Run:     runFloatCmp,
+	Run: runFloatCmp,
 }
 
 func runFloatCmp(pass *Pass) {

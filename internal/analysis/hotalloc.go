@@ -37,10 +37,7 @@ var HotAlloc = &Analyzer{
 		"closures/appends to fresh locals) inside loops of functions reachable " +
 		"from embed Solve/SolveContext; hoist into solverScratch arenas or " +
 		"pre-size outside the loop",
-	// ModWide: hotness is reachability from Solve roots anywhere
-	// in the module, through interface edges resolved module-wide.
-	ModWide: true,
-	Run:     runHotAlloc,
+	Run: runHotAlloc,
 }
 
 // buildHotSet computes the functions reachable from the DP roots,

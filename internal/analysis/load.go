@@ -226,8 +226,10 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 		if rel == "." {
 			rel = ""
 		}
-		if strings.HasPrefix(rel, l.ModulePath) {
-			rel = strings.TrimPrefix(strings.TrimPrefix(rel, l.ModulePath), "/")
+		if rel == l.ModulePath {
+			rel = ""
+		} else if sub, ok := strings.CutPrefix(rel, l.ModulePath+"/"); ok {
+			rel = sub
 		}
 		root := filepath.Join(l.ModuleDir, filepath.FromSlash(rel))
 		if !recursive {

@@ -176,22 +176,15 @@ func (m *Module) RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 	return runAnalyzers(m, pkg, analyzers)
 }
 
-// RunPackages analyzes the named packages in parallel, returning the
-// findings keyed by import path. All module-wide summaries are built
-// and frozen by BuildModule, so per-package runs only share read-only
-// state plus the mutex-guarded CFG cache. workers <= 0 means
-// GOMAXPROCS. Unknown paths are silently skipped (the driver validates
-// paths before fact lookup).
-func (m *Module) RunPackages(paths []string, analyzers []*Analyzer, workers int) map[string][]Finding {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// RunPackages runs the full catalog over the named packages on
+// GOMAXPROCS workers, returning the findings keyed by import path. All
+// module-wide summaries are built and frozen by BuildModule, so
+// per-package runs only share read-only state plus the mutex-guarded
+// CFG cache. Unknown paths are silently skipped (the driver validates
+// paths first).
+func (m *Module) RunPackages(paths []string) map[string][]Finding {
+	analyzers := All()
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(paths)))
 	// Workers hand results back over a buffered channel and the caller
 	// owns the map: no shared writes anywhere. The buffer holds every
 	// result, so workers never block on the send and wg.Wait directly

@@ -34,10 +34,7 @@ var ShardWrite = &Analyzer{
 		"goroutines without a per-shard index (worker parameter, launching " +
 		"loop variable, or atomic claim index), including writes that happen " +
 		"inside callees the captured reference is passed to",
-	// ModWide: write-through-parameter summaries ride the taint
-	// layer, whose field facts are module-global.
-	ModWide: true,
-	Run:     runShardWrite,
+	Run: runShardWrite,
 }
 
 func runShardWrite(pass *Pass) {
