@@ -397,6 +397,7 @@ func BenchmarkEngineIterate(b *testing.B) {
 }
 
 func BenchmarkPlaceAnneal(b *testing.B) {
+	b.ReportAllocs()
 	nl := benchNetlist(b, 400)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	for i := 0; i < b.N; i++ {
@@ -410,6 +411,7 @@ func BenchmarkPlaceAnneal(b *testing.B) {
 }
 
 func BenchmarkRouteInfinite(b *testing.B) {
+	b.ReportAllocs()
 	nl := benchNetlist(b, 600)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	opts := place.Defaults()
@@ -428,6 +430,7 @@ func BenchmarkRouteInfinite(b *testing.B) {
 }
 
 func BenchmarkRouteLowStress(b *testing.B) {
+	b.ReportAllocs()
 	nl := benchNetlist(b, 300)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	opts := place.Defaults()
@@ -520,6 +523,7 @@ func BenchmarkAblationLargeEps(b *testing.B) {
 // BenchmarkWmin measures the channel-width binary search, the dominant
 // cost of low-stress evaluation.
 func BenchmarkWmin(b *testing.B) {
+	b.ReportAllocs()
 	nl := benchNetlist(b, 200)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	opts := place.Defaults()

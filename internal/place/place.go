@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
@@ -88,8 +89,9 @@ type state struct {
 	rng *rand.Rand
 	ctx context.Context // non-nil via PlaceContext
 
-	luts []netlist.CellID
-	pads []netlist.CellID
+	luts    []netlist.CellID
+	pads    []netlist.CellID
+	ioSlots []arch.Loc
 
 	// Per-net wire cost cache and totals.
 	netCost   []float64
@@ -100,11 +102,26 @@ type state struct {
 	arr         []float64 // cached arrival times
 	tail        []float64 // delay from a cell's output to any path end, excluding wire to its first hop
 	timingTotal float64
-	edgeCost    map[edgeKey]float64
+	// edgeCost[slot] is the timing cost of connection (u, v), where
+	// slot is v's first input pin reading u's net (pinSlot): one entry
+	// per distinct (u, v) pair, however many of v's pins u feeds.
+	edgeCost []float64
+	pinOff   []int32 // per cell: index of its input pin 0 in pinSlot
+	pinSlot  []int32
+
+	// Per-move scratch: the move's affected nets and timing edges,
+	// computed once per move and reused by the delta and the commit.
+	// edgeSeen[slot] == edgeStamp marks an edge already in edges.
+	nets      []netlist.NetID
+	edges     []edge
+	edgeSeen  []uint32
+	edgeStamp uint32
 }
 
-type edgeKey struct {
+// edge is a timing connection u -> v and its edgeCost slot.
+type edge struct {
 	u, v netlist.CellID
+	slot int32
 }
 
 func newState(nl *netlist.Netlist, f *arch.FPGA, opt Options) *state {
@@ -115,14 +132,31 @@ func newState(nl *netlist.Netlist, f *arch.FPGA, opt Options) *state {
 		opt: opt,
 		rng: rand.New(rand.NewSource(opt.Seed)),
 	}
+	s.pinOff = make([]int32, nl.Cap())
 	nl.Cells(func(c *netlist.Cell) {
 		if c.Kind == netlist.LUT {
 			s.luts = append(s.luts, c.ID)
 		} else {
 			s.pads = append(s.pads, c.ID)
 		}
+		off := len(s.pinSlot)
+		s.pinOff[c.ID] = int32(off)
+		for _, net := range c.Fanin {
+			s.pinSlot = append(s.pinSlot, int32(off+slices.Index(c.Fanin, net)))
+		}
 	})
+	s.ioSlots = f.IOSlots()
+	s.netCost = make([]float64, nl.NetCap())
+	s.crit = make([]float64, nl.Cap())
+	s.tail = make([]float64, nl.Cap())
+	s.edgeCost = make([]float64, len(s.pinSlot))
+	s.edgeSeen = make([]uint32, len(s.pinSlot))
 	return s
+}
+
+// slot returns the edgeCost slot of the connection into v's pin.
+func (s *state) slot(v netlist.CellID, pin int) int32 {
+	return s.pinSlot[int(s.pinOff[v])+pin]
 }
 
 // initialRandom scatters cells uniformly (a random permutation of the
@@ -148,7 +182,6 @@ func (s *state) initialRandom() {
 
 // refreshWire recomputes all net costs from scratch.
 func (s *state) refreshWire() {
-	s.netCost = make([]float64, s.nl.NetCap())
 	s.wireTotal = 0
 	s.nl.Nets(func(n *netlist.Net) {
 		c := wire.NetCost(s.nl, s.pl, n.ID, nil)
@@ -167,9 +200,8 @@ func (s *state) refreshTiming() error {
 		return err
 	}
 	s.arr = a.Arr
-	s.tail = make([]float64, s.nl.Cap())
-	s.crit = make([]float64, s.nl.Cap())
-	s.edgeCost = make(map[edgeKey]float64, s.nl.Cap()*2)
+	clear(s.tail)
+	clear(s.crit)
 	s.timingTotal = 0
 	nl := s.nl
 	dmax := a.Period
@@ -193,7 +225,7 @@ func (s *state) refreshTiming() error {
 	})
 	nl.Cells(func(vc *netlist.Cell) {
 		v := vc.ID
-		for _, net := range vc.Fanin {
+		for k, net := range vc.Fanin {
 			if net == netlist.None {
 				continue
 			}
@@ -212,7 +244,7 @@ func (s *state) refreshTiming() error {
 				s.crit[v] = w
 			}
 			cost := w * d
-			s.edgeCost[edgeKey{u, v}] = cost
+			s.edgeCost[s.slot(v, k)] = cost
 			s.timingTotal += cost
 		}
 	})
@@ -315,8 +347,8 @@ func (s *state) probeMove(rlim float64, wirePrev, timingPrev float64) (float64, 
 	if !ok {
 		return 0, false
 	}
-	delta := s.moveDelta(mv, wirePrev, timingPrev)
-	return delta, true
+	s.affected(mv)
+	return s.moveDelta(mv, wirePrev, timingPrev), true
 }
 
 // move is a proposed relocation: cell a moves to slot to; if cell b is
@@ -361,8 +393,7 @@ func (s *state) pickMove(rlim float64) (move, bool) {
 			return move{}, false
 		}
 	} else {
-		ios := s.f.IOSlots()
-		to = ios[s.rng.Intn(len(ios))]
+		to = s.ioSlots[s.rng.Intn(len(s.ioSlots))]
 		if to == from {
 			return move{}, false
 		}
@@ -376,8 +407,8 @@ func (s *state) pickMove(rlim float64) (move, bool) {
 	return m, true
 }
 
-// moveDelta computes the normalized cost delta of a move:
-// λ·ΔT/Tprev + (1-λ)·ΔW/Wprev.
+// moveDelta computes the normalized cost delta of a move whose nets
+// and edges affected has collected: λ·ΔT/Tprev + (1-λ)·ΔW/Wprev.
 func (s *state) moveDelta(m move, wirePrev, timingPrev float64) float64 {
 	override := func(id netlist.CellID) (arch.Loc, bool) {
 		if id == m.a {
@@ -390,13 +421,13 @@ func (s *state) moveDelta(m move, wirePrev, timingPrev float64) float64 {
 	}
 	// Wire delta over the union of affected nets.
 	dWire := 0.0
-	for _, net := range s.affectedNets(m) {
+	for _, net := range s.nets {
 		dWire += wire.NetCost(s.nl, s.pl, net, override) - s.netCost[net]
 	}
 	// Timing delta over edges touching the moved cells.
 	dTiming := 0.0
 	if s.opt.Lambda > 0 {
-		for _, e := range s.affectedEdges(m) {
+		for _, e := range s.edges {
 			lu, lv := s.pl.Loc(e.u), s.pl.Loc(e.v)
 			if l, ok := override(e.u); ok {
 				lu = l
@@ -406,7 +437,7 @@ func (s *state) moveDelta(m move, wirePrev, timingPrev float64) float64 {
 			}
 			newDelay := s.opt.Delay.WireDelay(arch.Dist(lu, lv))
 			w := s.crit[e.v]
-			dTiming += w*newDelay - s.edgeCost[e]
+			dTiming += w*newDelay - s.edgeCost[e.slot]
 		}
 	}
 	return s.opt.Lambda*dTiming/timingPrev + (1-s.opt.Lambda)*dWire/wirePrev
@@ -418,6 +449,7 @@ func (s *state) tryMove(t, rlim, wirePrev, timingPrev float64) bool {
 	if !ok {
 		return false
 	}
+	s.affected(m)
 	delta := s.moveDelta(m, wirePrev, timingPrev)
 	if delta > 0 {
 		if t <= 0 {
@@ -432,71 +464,87 @@ func (s *state) tryMove(t, rlim, wirePrev, timingPrev float64) bool {
 	if m.b != netlist.None {
 		s.pl.Place(m.b, m.from)
 	}
-	for _, net := range s.affectedNets(m) {
+	for _, net := range s.nets {
 		c := wire.NetCost(s.nl, s.pl, net, nil)
 		s.wireTotal += c - s.netCost[net]
 		s.netCost[net] = c
 	}
 	if s.opt.Lambda > 0 {
-		for _, e := range s.affectedEdges(m) {
+		for _, e := range s.edges {
 			d := s.opt.Delay.WireDelay(arch.Dist(s.pl.Loc(e.u), s.pl.Loc(e.v)))
 			cost := s.crit[e.v] * d
-			s.timingTotal += cost - s.edgeCost[e]
-			s.edgeCost[e] = cost
+			s.timingTotal += cost - s.edgeCost[e.slot]
+			s.edgeCost[e.slot] = cost
 		}
 	}
 	return true
 }
 
-// affectedNets returns the nets whose bounding box can change.
-func (s *state) affectedNets(m move) []netlist.NetID {
-	nets := wire.CellNets(s.nl, m.a)
+// affected fills s.nets with the nets whose bounding box the move can
+// change and, when timing is weighted, s.edges with the timing edges
+// whose wire delay it can change. Both keep first-occurrence order —
+// a's nets or edges before b's — since it fixes the order the deltas
+// are summed in.
+func (s *state) affected(m move) {
+	s.nets = s.nets[:0]
+	s.addCellNets(m.a)
 	if m.b != netlist.None {
-		for _, n := range wire.CellNets(s.nl, m.b) {
-			dup := false
-			for _, seen := range nets {
-				if seen == n {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				nets = append(nets, n)
-			}
-		}
+		s.addCellNets(m.b)
 	}
-	return nets
+	if s.opt.Lambda <= 0 {
+		return
+	}
+	s.edges = s.edges[:0]
+	if s.edgeStamp == math.MaxUint32 {
+		clear(s.edgeSeen)
+		s.edgeStamp = 0
+	}
+	s.edgeStamp++
+	s.addCellEdges(m.a)
+	if m.b != netlist.None {
+		s.addCellEdges(m.b)
+	}
 }
 
-// affectedEdges returns the timing edges whose wire delay can change.
-func (s *state) affectedEdges(m move) []edgeKey {
-	var edges []edgeKey
-	seen := map[edgeKey]bool{}
-	collect := func(id netlist.CellID) {
-		c := s.nl.Cell(id)
-		for _, net := range c.Fanin {
-			if net == netlist.None {
-				continue
-			}
-			e := edgeKey{s.nl.Net(net).Driver, id}
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-		}
-		if c.Out != netlist.None {
-			for _, p := range s.nl.Net(c.Out).Sinks {
-				e := edgeKey{id, p.Cell}
-				if !seen[e] {
-					seen[e] = true
-					edges = append(edges, e)
-				}
-			}
+// addCellNets adds the cell's output net and then its fanin nets, as
+// wire.CellNets lists them.
+func (s *state) addCellNets(id netlist.CellID) {
+	c := s.nl.Cell(id)
+	if c.Out != netlist.None {
+		s.addNet(c.Out)
+	}
+	for _, net := range c.Fanin {
+		if net != netlist.None {
+			s.addNet(net)
 		}
 	}
-	collect(m.a)
-	if m.b != netlist.None {
-		collect(m.b)
+}
+
+func (s *state) addNet(net netlist.NetID) {
+	if !slices.Contains(s.nets, net) {
+		s.nets = append(s.nets, net)
 	}
-	return edges
+}
+
+// addCellEdges adds the cell's fanin edges and then its fanout edges.
+func (s *state) addCellEdges(id netlist.CellID) {
+	c := s.nl.Cell(id)
+	for k, net := range c.Fanin {
+		if net != netlist.None {
+			s.addEdge(s.nl.Net(net).Driver, id, s.slot(id, k))
+		}
+	}
+	if c.Out != netlist.None {
+		for _, p := range s.nl.Net(c.Out).Sinks {
+			s.addEdge(id, p.Cell, s.slot(p.Cell, int(p.Input)))
+		}
+	}
+}
+
+func (s *state) addEdge(u, v netlist.CellID, slot int32) {
+	if s.edgeSeen[slot] == s.edgeStamp {
+		return
+	}
+	s.edgeSeen[slot] = s.edgeStamp
+	s.edges = append(s.edges, edge{u, v, slot})
 }

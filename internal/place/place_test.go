@@ -2,6 +2,7 @@ package place
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -57,13 +58,6 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fastOpts(seed int64) Options {
@@ -208,4 +202,133 @@ func TestPadsStayOnRing(t *testing.T) {
 			t.Errorf("pad %s off the IO ring at %v", c.Name, l)
 		}
 	})
+}
+
+// loopyCircuit has the topologies edge dedup must get right: a
+// registered LUT reading its own output, a LUT reading one net on two
+// pins, and cells that read each other.
+func loopyCircuit(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	n := netlist.New("loopy")
+	n.AddCell("i0", netlist.IPad, 0)
+	n.AddCell("i1", netlist.IPad, 0)
+	r := n.AddCell("r", netlist.LUT, 2)
+	r.Registered = true
+	n.ConnectByName(r.ID, 0, "r")
+	n.ConnectByName(r.ID, 1, "i0")
+	d := n.AddCell("d", netlist.LUT, 3)
+	n.ConnectByName(d.ID, 0, "r")
+	n.ConnectByName(d.ID, 1, "i1")
+	n.ConnectByName(d.ID, 2, "r")
+	e := n.AddCell("e", netlist.LUT, 2)
+	n.ConnectByName(e.ID, 0, "d")
+	n.ConnectByName(e.ID, 1, "r")
+	g := n.AddCell("g", netlist.LUT, 2)
+	n.ConnectByName(g.ID, 0, "e")
+	n.ConnectByName(g.ID, 1, "e")
+	for i, src := range []string{"g", "d"} {
+		o := n.AddCell("o"+itoa(i), netlist.OPad, 1)
+		n.ConnectByName(o.ID, 0, src)
+	}
+	return n
+}
+
+// TestAffectedMatchesReference checks the per-move scratch lists
+// against the map-based lists they replaced: the same nets and (u, v)
+// edges in the same first-occurrence order, one edge per distinct pair.
+func TestAffectedMatchesReference(t *testing.T) {
+	for _, nl := range []*netlist.Netlist{loopyCircuit(t), randomCircuit(t, 3, 40, 5, 5)} {
+		f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+		s := newState(nl, f, fastOpts(9))
+		s.initialRandom()
+
+		// The slot map is a bijection with distinct (driver, sink) pairs.
+		slotOf := map[[2]netlist.CellID]int32{}
+		pairOf := map[int32][2]netlist.CellID{}
+		nl.Cells(func(c *netlist.Cell) {
+			for k, net := range c.Fanin {
+				key := [2]netlist.CellID{nl.Net(net).Driver, c.ID}
+				slot := s.slot(c.ID, k)
+				if got, ok := slotOf[key]; ok && got != slot {
+					t.Fatalf("%s: pair %v has slots %d and %d", nl.Name, key, got, slot)
+				}
+				if got, ok := pairOf[slot]; ok && got != key {
+					t.Fatalf("%s: slot %d shared by %v and %v", nl.Name, slot, got, key)
+				}
+				slotOf[key], pairOf[slot] = slot, key
+			}
+		})
+
+		moves := 0
+		for i := 0; i < 400; i++ {
+			m, ok := s.pickMove(float64(f.N))
+			if !ok {
+				continue
+			}
+			moves++
+			s.affected(m)
+			wantNets := wire.CellNets(nl, m.a)
+			if m.b != netlist.None {
+				for _, n := range wire.CellNets(nl, m.b) {
+					if !slices.Contains(wantNets, n) {
+						wantNets = append(wantNets, n)
+					}
+				}
+			}
+			if !slices.Equal(s.nets, wantNets) {
+				t.Fatalf("%s move %+v: nets %v, want %v", nl.Name, m, s.nets, wantNets)
+			}
+			var want, got [][2]netlist.CellID
+			seen := map[[2]netlist.CellID]bool{}
+			add := func(u, v netlist.CellID) {
+				if e := [2]netlist.CellID{u, v}; !seen[e] {
+					seen[e] = true
+					want = append(want, e)
+				}
+			}
+			for _, id := range []netlist.CellID{m.a, m.b} {
+				if id == netlist.None {
+					continue
+				}
+				c := nl.Cell(id)
+				for _, net := range c.Fanin {
+					add(nl.Net(net).Driver, id)
+				}
+				if c.Out != netlist.None {
+					for _, p := range nl.Net(c.Out).Sinks {
+						add(id, p.Cell)
+					}
+				}
+			}
+			for _, e := range s.edges {
+				got = append(got, [2]netlist.CellID{e.u, e.v})
+				if slotOf[[2]netlist.CellID{e.u, e.v}] != e.slot {
+					t.Fatalf("%s: edge %v carries slot %d", nl.Name, e, e.slot)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s move %+v: edges %v, want %v", nl.Name, m, got, want)
+			}
+		}
+		if moves == 0 {
+			t.Fatalf("%s: no moves proposed", nl.Name)
+		}
+	}
+}
+
+// TestProbeMoveAllocs pins the annealer's per-move scratch: evaluating
+// a move allocates nothing.
+func TestProbeMoveAllocs(t *testing.T) {
+	nl := randomCircuit(t, 5, 80, 8, 8)
+	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	s := newState(nl, f, fastOpts(2))
+	s.initialRandom()
+	if err := s.refreshTiming(); err != nil {
+		t.Fatal(err)
+	}
+	s.refreshWire()
+	rlim := float64(f.N)
+	if allocs := testing.AllocsPerRun(200, func() { s.probeMove(rlim, 1, 1) }); allocs != 0 {
+		t.Errorf("probeMove allocates %v times per move, want 0", allocs)
+	}
 }

@@ -17,9 +17,10 @@
 package route
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -81,32 +82,74 @@ type Conn struct {
 	Sink netlist.Pin
 }
 
-// router carries one run's state.
+// router carries the state of one routing job. It is allocated once
+// per placement and reset for every channel width probed; past the
+// first searches, which grow the scratch slices, the rip-up/reroute
+// loop allocates nothing.
 type router struct {
 	nl  *netlist.Netlist
 	pl  timing.Locator
-	f   *arch.FPGA
 	dm  arch.DelayModel
 	opt Options
 
-	w, h    int // tile grid dims: (N+2) x (N+2)
-	occ     []int16
-	hist    []float64
-	presFac float64
+	w, h     int // tile grid dims: (N+2) x (N+2)
+	capacity int // per-tile tracks at the width being routed
+	occ      []int16
+	hist     []float64
+	presFac  float64
 
-	// Per-net routing trees: tile -> distance from driver.
-	trees   []map[int32]int32
-	connLen map[Conn]int
+	// nets holds the routed nets in routing order. Their sinks, nearest
+	// first, are conns[lo:hi]; all of it depends only on the placement.
+	nets  []netRoute
+	conns []connRoute
+	// connLen[netOff[net]+i] is the routed length of the net's i-th
+	// sink in the latest iteration; netOff is -1 for unrouted nets.
+	netOff  []int32
+	connLen []int32
+	wire    int // total tree wire of the latest iteration
 
-	// Scratch buffers for Dijkstra, sized once.
+	// The tree being grown: a tile is on it iff inTree[t] == treeStamp,
+	// treeDist[t] is then its distance from the driver, and treeTiles
+	// lists the members.
+	inTree    []int32
+	treeDist  []int32
+	treeTiles []int32
+	treeStamp int32
+
+	// Dijkstra scratch; visited[t] == epoch marks dist/prev as current.
 	dist    []float64
 	prev    []int32
-	visited []int32 // epoch marks
+	visited []int32
 	epoch   int32
+	q       []pqItem
+	path    []int32
+}
+
+// netRoute is one net's fixed routing input.
+type netRoute struct {
+	id             netlist.NetID
+	driver         int32
+	x0, y0, x1, y1 int // net bounding box plus margin
+	lo, hi         int // span of r.conns
+}
+
+// connRoute is one sink to reach: its tile and its index in Net.Sinks.
+type connRoute struct {
+	tile int32
+	sink int32
 }
 
 // Route routes all nets of the placed netlist.
 func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (*Result, error) {
+	r := newRouter(nl, pl, f, dm, opt)
+	feasible, iters, err := r.run(context.Background(), opt.ChannelWidth)
+	if err != nil {
+		return nil, err
+	}
+	return r.result(feasible, iters)
+}
+
+func newRouter(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) *router {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = Defaults().MaxIters
 	}
@@ -120,67 +163,26 @@ func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayMo
 		opt.HistFac = Defaults().HistFac
 	}
 	r := &router{
-		nl: nl, pl: pl, f: f, dm: dm, opt: opt,
+		nl: nl, pl: pl, dm: dm, opt: opt,
 		w: f.N + 2, h: f.N + 2,
 	}
 	n := r.w * r.h
 	r.occ = make([]int16, n)
 	r.hist = make([]float64, n)
-	r.trees = make([]map[int32]int32, nl.NetCap())
+	r.inTree = make([]int32, n)
+	r.treeDist = make([]int32, n)
 	r.dist = make([]float64, n)
 	r.prev = make([]int32, n)
 	r.visited = make([]int32, n)
-
-	nets := r.netOrder()
-	r.presFac = opt.PresFacInit
-	res := &Result{}
-	for iter := 0; iter < opt.MaxIters; iter++ {
-		res.Iterations = iter + 1
-		// Rip up everything and reroute under current penalties (the
-		// original PathFinder formulation).
-		for i := range r.occ {
-			r.occ[i] = 0
-		}
-		r.connLen = make(map[Conn]int, len(r.connLen))
-		for _, netID := range nets {
-			if err := r.routeNet(netID); err != nil {
-				return nil, err
-			}
-		}
-		over := r.updateCongestion()
-		if over == 0 {
-			res.Feasible = true
-			break
-		}
-		if r.infinite() {
-			// Without capacity there is never overuse; defensive.
-			res.Feasible = true
-			break
-		}
-		r.presFac *= opt.PresFacMult
+	r.netOff = make([]int32, nl.NetCap())
+	for i := range r.netOff {
+		r.netOff[i] = -1
 	}
-	if r.infinite() {
-		res.Feasible = true
-	}
-	res.ConnLen = r.connLen
-	res.TileUsage = r.tileUsage()
-	res.WireLength = r.totalWire()
-	cp, err := r.critPath()
-	if err != nil {
-		return nil, err
-	}
-	res.CritPath = cp
-	return res, nil
+	r.orderNets()
+	return r
 }
 
 func (r *router) infinite() bool { return r.opt.ChannelWidth <= 0 }
-
-func (r *router) cap() int {
-	if r.infinite() {
-		return 1 << 20
-	}
-	return r.opt.ChannelWidth
-}
 
 func (r *router) tile(l arch.Loc) int32 { return int32(int(l.Y)*r.w + int(l.X)) }
 
@@ -188,14 +190,16 @@ func (r *router) loc(t int32) arch.Loc {
 	return arch.Loc{X: int16(int(t) % r.w), Y: int16(int(t) / r.w)}
 }
 
-// netOrder routes long nets first (their flexibility is lowest), a
-// common PathFinder ordering; it is deterministic.
-func (r *router) netOrder() []netlist.NetID {
+// orderNets fills nets and conns. Long nets route first (their
+// flexibility is lowest), a common PathFinder ordering; within a net,
+// sinks route nearest first. Both orders are total, so deterministic.
+func (r *router) orderNets() {
 	type entry struct {
-		id   netlist.NetID
+		net  *netlist.Net
 		span int
 	}
-	var nets []entry
+	nets := make([]entry, 0, r.nl.NumNets())
+	conns := 0
 	r.nl.Nets(func(n *netlist.Net) {
 		if len(n.Sinks) == 0 {
 			return
@@ -203,72 +207,47 @@ func (r *router) netOrder() []netlist.NetID {
 		d := r.pl.Loc(n.Driver)
 		span := 0
 		for _, p := range n.Sinks {
-			if dd := arch.Dist(d, r.pl.Loc(p.Cell)); dd > span {
-				span = dd
-			}
+			span = max(span, arch.Dist(d, r.pl.Loc(p.Cell)))
 		}
-		nets = append(nets, entry{n.ID, span})
+		nets = append(nets, entry{n, span})
+		conns += len(n.Sinks)
 	})
 	sort.Slice(nets, func(i, j int) bool {
 		if nets[i].span != nets[j].span {
 			return nets[i].span > nets[j].span
 		}
-		return nets[i].id < nets[j].id
+		return nets[i].net.ID < nets[j].net.ID
 	})
-	out := make([]netlist.NetID, len(nets))
+	r.nets = make([]netRoute, len(nets))
+	r.conns = make([]connRoute, 0, conns)
+	r.connLen = make([]int32, conns)
 	for i, e := range nets {
-		out[i] = e.id
+		net := e.net
+		r.netOff[net.ID] = int32(len(r.conns))
+		x0, y0, x1, y1 := r.region(net)
+		nr := netRoute{
+			id: net.ID, driver: r.tile(r.pl.Loc(net.Driver)),
+			x0: x0, y0: y0, x1: x1, y1: y1,
+			lo: len(r.conns),
+		}
+		for s, p := range net.Sinks {
+			r.conns = append(r.conns, connRoute{r.tile(r.pl.Loc(p.Cell)), int32(s)})
+		}
+		nr.hi = len(r.conns)
+		dl := r.pl.Loc(net.Driver)
+		dist := func(c connRoute) int { return arch.Dist(dl, r.pl.Loc(net.Sinks[c.sink].Cell)) }
+		slices.SortFunc(r.conns[nr.lo:nr.hi], func(a, b connRoute) int {
+			if da, db := dist(a), dist(b); da != db {
+				return da - db
+			}
+			pa, pb := net.Sinks[a.sink], net.Sinks[b.sink]
+			if pa.Cell != pb.Cell {
+				return int(pa.Cell) - int(pb.Cell)
+			}
+			return int(pa.Input) - int(pb.Input)
+		})
+		r.nets[i] = nr
 	}
-	return out
-}
-
-// nodeCost is the PathFinder cost of using a tile: (base + history) ×
-// present-sharing penalty.
-func (r *router) nodeCost(t int32) float64 {
-	base := 1.0 + r.hist[t]
-	over := int(r.occ[t]) + 1 - r.cap()
-	if over <= 0 {
-		return base
-	}
-	return base * (1 + float64(over)*r.presFac)
-}
-
-// routeNet grows the net's Steiner tree sink by sink (nearest first).
-func (r *router) routeNet(netID netlist.NetID) error {
-	net := r.nl.Net(netID)
-	driver := r.tile(r.pl.Loc(net.Driver))
-	tree := map[int32]int32{driver: 0}
-	r.trees[netID] = tree
-	r.occ[driver]++
-
-	// Region: net bounding box plus margin.
-	x0, y0, x1, y1 := r.region(net)
-
-	sinks := append([]netlist.Pin(nil), net.Sinks...)
-	dl := r.pl.Loc(net.Driver)
-	sort.Slice(sinks, func(i, j int) bool {
-		di := arch.Dist(dl, r.pl.Loc(sinks[i].Cell))
-		dj := arch.Dist(dl, r.pl.Loc(sinks[j].Cell))
-		if di != dj {
-			return di < dj
-		}
-		if sinks[i].Cell != sinks[j].Cell {
-			return sinks[i].Cell < sinks[j].Cell
-		}
-		return sinks[i].Input < sinks[j].Input
-	})
-	for _, p := range sinks {
-		target := r.tile(r.pl.Loc(p.Cell))
-		if _, onTree := tree[target]; onTree {
-			r.connLen[Conn{netID, p}] = int(tree[target])
-			continue
-		}
-		if err := r.connect(netID, tree, target, x0, y0, x1, y1); err != nil {
-			return fmt.Errorf("route: net %s sink %v: %w", net.Name, p, err)
-		}
-		r.connLen[Conn{netID, p}] = int(tree[target])
-	}
-	return nil
 }
 
 func (r *router) region(net *netlist.Net) (x0, y0, x1, y1 int) {
@@ -285,40 +264,179 @@ func (r *router) region(net *netlist.Net) (x0, y0, x1, y1 int) {
 	return max(0, x0-m), max(0, y0-m), min(r.w-1, x1+m), min(r.h-1, y1+m)
 }
 
+// run routes every net at the given channel width (0 = infinite) from
+// fresh congestion state and reports whether the routing is feasible
+// and how many rip-up iterations it took. It polls ctx before every
+// iteration, so a cancelled job stops within one iteration.
+func (r *router) run(ctx context.Context, width int) (feasible bool, iters int, err error) {
+	r.opt.ChannelWidth = width
+	r.capacity = width
+	if r.infinite() {
+		// More tracks than an int16 occupancy can reach: never overused.
+		r.capacity = 1 << 20
+	}
+	clear(r.hist)
+	r.presFac = r.opt.PresFacInit
+	for iter := 0; iter < r.opt.MaxIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return false, 0, err
+		}
+		iters = iter + 1
+		// Rip up everything and reroute under current penalties (the
+		// original PathFinder formulation).
+		clear(r.occ)
+		r.wire = 0
+		for i := range r.nets {
+			if err := r.routeNet(&r.nets[i]); err != nil {
+				return false, 0, err
+			}
+		}
+		if r.updateCongestion() == 0 {
+			feasible = true
+			break
+		}
+		r.presFac *= r.opt.PresFacMult
+	}
+	return feasible, iters, nil
+}
+
+// result exports the latest iteration's routing.
+func (r *router) result(feasible bool, iters int) (*Result, error) {
+	res := &Result{
+		Feasible:   feasible,
+		Iterations: iters,
+		WireLength: r.wire,
+		ConnLen:    make(map[Conn]int, len(r.connLen)),
+		TileUsage:  r.tileUsage(),
+	}
+	for _, nr := range r.nets {
+		off := r.netOff[nr.id]
+		for i, p := range r.nl.Net(nr.id).Sinks {
+			res.ConnLen[Conn{nr.id, p}] = int(r.connLen[int(off)+i])
+		}
+	}
+	cp, err := r.critPath()
+	if err != nil {
+		return nil, err
+	}
+	res.CritPath = cp
+	return res, nil
+}
+
+// nodeCost is the PathFinder cost of using a tile: (base + history) ×
+// present-sharing penalty.
+func (r *router) nodeCost(t int32) float64 {
+	base := 1.0 + r.hist[t]
+	over := int(r.occ[t]) + 1 - r.capacity
+	if over <= 0 {
+		return base
+	}
+	return base * (1 + float64(over)*r.presFac)
+}
+
+// routeNet grows the net's Steiner tree sink by sink (nearest first).
+func (r *router) routeNet(nr *netRoute) error {
+	if r.treeStamp == math.MaxInt32 {
+		clear(r.inTree)
+		r.treeStamp = 0
+	}
+	r.treeStamp++
+	r.inTree[nr.driver] = r.treeStamp
+	r.treeDist[nr.driver] = 0
+	r.treeTiles = append(r.treeTiles[:0], nr.driver)
+	r.occ[nr.driver]++
+
+	off := r.netOff[nr.id]
+	for _, c := range r.conns[nr.lo:nr.hi] {
+		if r.inTree[c.tile] != r.treeStamp {
+			if err := r.connect(nr, c.tile); err != nil {
+				net := r.nl.Net(nr.id)
+				return fmt.Errorf("route: net %s sink %v: %w", net.Name, net.Sinks[c.sink], err)
+			}
+		}
+		r.connLen[off+c.sink] = r.treeDist[c.tile]
+	}
+	r.wire += len(r.treeTiles) - 1
+	return nil
+}
+
 // pqItem is a Dijkstra frontier entry.
 type pqItem struct {
 	cost float64
 	tile int32
 }
-type pq []pqItem
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].cost < q[j].cost }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+// push and pop are container/heap's Push and Pop on r.q, specialized
+// to pqItem so nothing is boxed through any. They hold the moving item
+// aside instead of swapping it level by level, but make exactly
+// container/heap's comparisons and leave every item where its swaps
+// would. That is a contract, not a detail: node costs are 1 + history,
+// so equal keys are everywhere, and any other tie-break would pick
+// different equal-cost routes and change Wmin.
+func (r *router) push(it pqItem) {
+	q := append(r.q, it)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.cost < q[i].cost) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = it
+	r.q = q
+}
+
+func (r *router) pop() pqItem {
+	q := r.q
+	n := len(q) - 1
+	top, it := q[0], q[n]
+	q = q[:n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].cost < q[j].cost {
+			j = j2
+		}
+		if !(q[j].cost < it.cost) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	if n > 0 {
+		q[i] = it
+	}
+	r.q = q
+	return top
+}
 
 // connect runs a multi-source Dijkstra from the current tree to the
 // target tile and commits the found path to the tree.
-func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32, x0, y0, x1, y1 int) error {
-	r.epoch++
-	var q pq
-	// Seed in sorted tile order: map iteration order would make
-	// zero-cost tie-breaking (and hence chosen routes) nondeterministic.
-	seeds := make([]int32, 0, len(tree))
-	for t := range tree {
-		seeds = append(seeds, t)
+func (r *router) connect(nr *netRoute, target int32) error {
+	if r.epoch == math.MaxInt32 {
+		clear(r.visited)
+		r.epoch = 0
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, t := range seeds {
+	r.epoch++
+	// Seed in ascending tile order, so zero-cost ties break the same
+	// way every run. Equal keys never move in a push, so appending the
+	// seeds builds the heap that pushing them one by one would.
+	slices.Sort(r.treeTiles)
+	r.q = r.q[:0]
+	for _, t := range r.treeTiles {
 		r.dist[t] = 0
 		r.prev[t] = -1
 		r.visited[t] = r.epoch
-		heap.Push(&q, pqItem{0, t})
+		r.q = append(r.q, pqItem{0, t})
 	}
 	found := false
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(r.q) > 0 {
+		it := r.pop()
 		t := it.tile
 		if it.cost > r.dist[t] {
 			continue
@@ -330,7 +448,7 @@ func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32
 		x, y := int(t)%r.w, int(t)/r.w
 		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 			nx, ny := x+d[0], y+d[1]
-			if nx < x0 || nx > x1 || ny < y0 || ny > y1 {
+			if nx < nr.x0 || nx > nr.x1 || ny < nr.y0 || ny > nr.y1 {
 				continue
 			}
 			nt := int32(ny*r.w + nx)
@@ -339,29 +457,30 @@ func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32
 				r.visited[nt] = r.epoch
 				r.dist[nt] = c
 				r.prev[nt] = t
-				heap.Push(&q, pqItem{c, nt})
+				r.push(pqItem{c, nt})
 			}
 		}
 	}
 	if !found {
-		return fmt.Errorf("target unreachable in region (%d,%d)-(%d,%d)", x0, y0, x1, y1)
+		return fmt.Errorf("target unreachable in region (%d,%d)-(%d,%d)", nr.x0, nr.y0, nr.x1, nr.y1)
 	}
 	// Commit the path; distances from the driver accumulate along it.
-	var path []int32
-	for t := target; t != -1; t = r.prev[t] {
-		if _, onTree := tree[t]; onTree {
-			path = append(path, t)
+	// path runs target .. join point, and the join point is on the tree.
+	path := r.path[:0]
+	for t := target; ; t = r.prev[t] {
+		path = append(path, t)
+		if r.inTree[t] == r.treeStamp {
 			break
 		}
-		path = append(path, t)
 	}
-	// path runs target .. joinpoint; the join point is on the tree.
-	join := path[len(path)-1]
-	base := tree[join]
+	r.path = path
+	base := r.treeDist[path[len(path)-1]]
 	for i := len(path) - 2; i >= 0; i-- {
 		t := path[i]
 		base++
-		tree[t] = base
+		r.inTree[t] = r.treeStamp
+		r.treeDist[t] = base
+		r.treeTiles = append(r.treeTiles, t)
 		r.occ[t]++
 	}
 	return nil
@@ -372,9 +491,9 @@ func (r *router) connect(netID netlist.NetID, tree map[int32]int32, target int32
 func (r *router) updateCongestion() int {
 	over := 0
 	for t := range r.occ {
-		if int(r.occ[t]) > r.cap() {
+		if int(r.occ[t]) > r.capacity {
 			over++
-			r.hist[t] += r.opt.HistFac * float64(int(r.occ[t])-r.cap())
+			r.hist[t] += r.opt.HistFac * float64(int(r.occ[t])-r.capacity)
 		}
 	}
 	return over
@@ -382,24 +501,19 @@ func (r *router) updateCongestion() int {
 
 // tileUsage exports the per-tile net counts.
 func (r *router) tileUsage() map[arch.Loc]int {
-	use := make(map[arch.Loc]int)
+	used := 0
+	for _, o := range r.occ {
+		if o > 0 {
+			used++
+		}
+	}
+	use := make(map[arch.Loc]int, used)
 	for t := range r.occ {
 		if r.occ[t] > 0 {
 			use[r.loc(int32(t))] = int(r.occ[t])
 		}
 	}
 	return use
-}
-
-// totalWire sums tree sizes (edges = nodes - 1).
-func (r *router) totalWire() int {
-	total := 0
-	for _, tree := range r.trees {
-		if len(tree) > 1 {
-			total += len(tree) - 1
-		}
-	}
-	return total
 }
 
 // critPath runs STA with routed wire lengths substituted for Manhattan
@@ -423,12 +537,11 @@ func (r *router) critPath() (float64, error) {
 		uc := r.nl.Cell(u)
 		best := math.Inf(1)
 		if uc.Out != netlist.None {
-			for _, p := range r.nl.Net(uc.Out).Sinks {
-				if p.Cell != v {
-					continue
-				}
-				if l, ok := r.connLen[Conn{uc.Out, p}]; ok && float64(l) < best {
-					best = float64(l)
+			if off := r.netOff[uc.Out]; off >= 0 {
+				for i, p := range r.nl.Net(uc.Out).Sinks {
+					if l := float64(r.connLen[int(off)+i]); p.Cell == v && l < best {
+						best = l
+					}
 				}
 			}
 		}
@@ -448,15 +561,20 @@ func (r *router) critPath() (float64, error) {
 // MinChannelWidth binary-searches the smallest channel width that
 // routes feasibly.
 func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (int, error) {
+	return newRouter(nl, pl, f, dm, opt).minWidth(context.Background())
+}
+
+// minWidth is MinChannelWidth on r's state; each probe starts from
+// fresh congestion, exactly as a separate Route call would.
+func (r *router) minWidth(ctx context.Context) (int, error) {
 	lo, hi := 1, 2
 	// Exponential probe for an upper bound.
 	for {
-		opt.ChannelWidth = hi
-		res, err := Route(nl, pl, f, dm, opt)
+		feasible, _, err := r.run(ctx, hi)
 		if err != nil {
 			return 0, err
 		}
-		if res.Feasible {
+		if feasible {
 			break
 		}
 		lo = hi + 1
@@ -467,12 +585,11 @@ func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm ar
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		opt.ChannelWidth = mid
-		res, err := Route(nl, pl, f, dm, opt)
+		feasible, _, err := r.run(ctx, mid)
 		if err != nil {
 			return 0, err
 		}
-		if res.Feasible {
+		if feasible {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -484,13 +601,25 @@ func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm ar
 // LowStress routes with 20% more tracks than the minimum, the paper's
 // W_ls regime. It returns the result and the width used.
 func LowStress(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (*Result, int, error) {
-	wmin, err := MinChannelWidth(nl, pl, f, dm, opt)
+	return LowStressContext(context.Background(), nl, pl, f, dm, opt)
+}
+
+// LowStressContext is LowStress under cooperative cancellation: the
+// width search and the final route poll ctx before every rip-up
+// iteration (so also before every probed width) and return ctx.Err()
+// with no result. An uncancelled run is bit-identical to LowStress.
+func LowStressContext(ctx context.Context, nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (*Result, int, error) {
+	r := newRouter(nl, pl, f, dm, opt)
+	wmin, err := r.minWidth(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
 	w := wmin + (wmin+4)/5 // ceil(1.2 × wmin)
-	opt.ChannelWidth = w
-	res, err := Route(nl, pl, f, dm, opt)
+	feasible, iters, err := r.run(ctx, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := r.result(feasible, iters)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -502,18 +631,4 @@ func Infinite(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.Dela
 	opt.ChannelWidth = 0
 	opt.MaxIters = 1
 	return Route(nl, pl, f, dm, opt)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,12 @@
 package route
 
 import (
+	"container/heap"
+	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -157,7 +162,7 @@ func placedRandom(t *testing.T, seed int64, luts int) (*netlist.Netlist, timing.
 		k := 1 + rng.Intn(3)
 		c := n.AddCell(name, netlist.LUT, k)
 		for p := 0; p < k; p++ {
-			c2 := signals[len(signals)-1-rng.Intn(minInt(len(signals), 10))]
+			c2 := signals[len(signals)-1-rng.Intn(min(len(signals), 10))]
 			n.ConnectByName(c.ID, p, c2)
 		}
 		signals = append(signals, name)
@@ -190,13 +195,6 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestMinChannelWidthAndLowStress(t *testing.T) {
@@ -296,5 +294,132 @@ func TestTileUsage(t *testing.T) {
 	}
 	if total != res.WireLength+n.NumNets() {
 		t.Errorf("usage total %d, want wire %d + nets %d", total, res.WireLength, n.NumNets())
+	}
+}
+
+// refPQ is the container/heap queue connect's typed heap replaces.
+type refPQ []pqItem
+
+func (q refPQ) Len() int           { return len(q) }
+func (q refPQ) Less(i, j int) bool { return q[i].cost < q[j].cost }
+func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *refPQ) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// TestHeapMatchesContainerHeap drives the typed heap and container/heap
+// through the same random push/pop sequences. Costs take four values,
+// so most comparisons tie, and every item carries a distinct tile: the
+// two must pop the same items and keep the same array layout after
+// every operation, not merely pop equal costs.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		r := &router{}
+		var ref refPQ
+		for op := 0; op < 400; op++ {
+			if len(ref) == 0 || rng.Intn(5) < 3 {
+				it := pqItem{cost: float64(rng.Intn(4)) * 0.5, tile: int32(op)}
+				r.push(it)
+				heap.Push(&ref, it)
+			} else if got, want := r.pop(), heap.Pop(&ref).(pqItem); got != want {
+				t.Fatalf("trial %d op %d: popped %+v, container/heap pops %+v", trial, op, got, want)
+			}
+			if !slices.Equal(r.q, ref) {
+				t.Fatalf("trial %d op %d: layout %v, container/heap has %v", trial, op, r.q, ref)
+			}
+		}
+		for len(ref) > 0 {
+			if got, want := r.pop(), heap.Pop(&ref).(pqItem); got != want {
+				t.Fatalf("trial %d drain: popped %+v, container/heap pops %+v", trial, got, want)
+			}
+		}
+	}
+}
+
+// TestRouteAllocsFlat pins the router's scratch reuse: the allocations
+// of a Route call are a fixed set of buffers and result maps, so a
+// fixture with ~10x the connections allocates about as often.
+func TestRouteAllocsFlat(t *testing.T) {
+	allocs := func(luts int) (float64, int) {
+		n, pl, f := placedRandom(t, 21, luts)
+		opt := Defaults()
+		w, err := MinChannelWidth(n, pl, f, dm(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.ChannelWidth = w
+		conns := 0
+		n.Nets(func(net *netlist.Net) { conns += len(net.Sinks) })
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Route(n, pl, f, dm(), opt); err != nil {
+				t.Fatal(err)
+			}
+		}), conns
+	}
+	small, smallConns := allocs(30)
+	large, largeConns := allocs(300)
+	if largeConns < 8*smallConns {
+		t.Fatalf("fixtures too close: %d vs %d connections", smallConns, largeConns)
+	}
+	if large > small+8 {
+		t.Errorf("Route allocations grow with the design: %v at %d connections, %v at %d",
+			small, smallConns, large, largeConns)
+	}
+}
+
+// pollCtx is a context whose Err reports cancellation from poll
+// number after+1 on, counting every poll.
+type pollCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestLowStressContext(t *testing.T) {
+	n, pl, f := placedRandom(t, 21, 60)
+	want, wantW, err := LowStress(n, pl, f, dm(), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Uncancelled: bit-identical to LowStress; count the polls.
+	full := &pollCtx{Context: context.Background(), after: math.MaxInt}
+	got, w, err := LowStressContext(full, n, pl, f, dm(), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != wantW || got.WireLength != want.WireLength ||
+		math.Float64bits(got.CritPath) != math.Float64bits(want.CritPath) {
+		t.Errorf("LowStressContext = (w %d, wire %d, period %v), LowStress = (w %d, wire %d, period %v)",
+			w, got.WireLength, got.CritPath, wantW, want.WireLength, want.CritPath)
+	}
+	if full.polls < 4 {
+		t.Fatalf("only %d polls over a whole width search", full.polls)
+	}
+	// Cancelled mid-search: ctx.Err() comes back at the next poll.
+	mid := &pollCtx{Context: context.Background(), after: full.polls / 2}
+	res, w, err := LowStressContext(mid, n, pl, f, dm(), Defaults())
+	if !errors.Is(err, context.Canceled) || res != nil || w != 0 {
+		t.Errorf("cancelled mid-search: (%v, %d, %v), want (nil, 0, context.Canceled)", res, w, err)
+	}
+	if mid.polls != mid.after+1 {
+		t.Errorf("search went on for %d polls after cancellation", mid.polls-mid.after-1)
+	}
+	// Cancelled before the call: no routing at all.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := LowStressContext(ctx, n, pl, f, dm(), Defaults()); err != context.Canceled {
+		t.Errorf("pre-cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -121,22 +121,22 @@ func TestClusterClientAllQueueFull(t *testing.T) {
 	a.mode.Store("reject429")
 	b.mode.Store("reject429")
 	fs := &fakeSleeper{failAt: -1}
+	// Drain endpoint b during the second backoff round. It happens
+	// inside the sleep, not in a polling goroutine: the fake sleeps
+	// return at once, so all retries could finish before that ran.
+	sleep := func(ctx context.Context, d time.Duration) error {
+		err := fs.sleep(ctx, d)
+		if fs.count() == 2 {
+			b.mode.Store("accept")
+		}
+		return err
+	}
 	cc, err := NewClusterClient([]string{a.srv.URL, b.srv.URL},
-		&Backoff{Base: time.Millisecond, NoJitter: true, Retries: 8, sleep: fs.sleep})
+		&Backoff{Base: time.Millisecond, NoJitter: true, Retries: 8, sleep: sleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain endpoint b after the second backoff round.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for fs.count() < 2 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		b.mode.Store("accept")
-	}()
 	st, _, err := cc.Submit(context.Background(), serve.JobSpec{Circuit: "ex5p"})
-	<-done
 	if err != nil {
 		t.Fatal(err)
 	}

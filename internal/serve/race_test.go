@@ -331,10 +331,19 @@ func TestRaceParentCancel(t *testing.T) {
 // configured Runner as the per-variant seam, and the counters record
 // the race and its cancelled losers.
 func TestRaceThroughManager(t *testing.T) {
+	// The losers counter counts variants still running at the decision.
+	// So no variant before lex4 may meet the bound and cancel lex4/lex5
+	// early (a cancelled variant reports back and no longer counts), and
+	// lexmc finishes well after rt, so its completion is the deciding
+	// one. The delays end on cancellation, so the long ones cost nothing.
 	tab := &raceTable{
-		period: map[string]float64{"rt": 9, "lexmc": 8, "lex2": 7, "lex3": 6, "lex4": 5, "lex5": 4},
+		period: map[string]float64{"rt": 9, "lexmc": 8, "lex2": 8.8, "lex3": 8.6, "lex4": 5, "lex5": 4},
 		fail:   map[string]bool{},
-		delay:  map[string]time.Duration{"lex4": 50 * time.Millisecond, "lex5": 50 * time.Millisecond},
+		delay: map[string]time.Duration{
+			"lexmc": 100 * time.Millisecond,
+			"lex4":  10 * time.Second,
+			"lex5":  10 * time.Second,
+		},
 	}
 	m := NewManager(Config{Workers: 1, Runner: tab.runner()})
 	defer m.Shutdown(context.Background())

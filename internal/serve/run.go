@@ -124,11 +124,8 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	res.OptimizedPeriod = a.Period
 
 	if spec.Route {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		t0 = time.Now()
-		ls, w, err := route.LowStress(nl, pl, f, dm, route.Defaults())
+		ls, w, err := route.LowStressContext(ctx, nl, pl, f, dm, route.Defaults())
 		res.RouteSeconds = time.Since(t0).Seconds()
 		if err != nil {
 			return nil, fmt.Errorf("route: %w", err)
