@@ -13,6 +13,7 @@ package repro_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/flow"
+	"repro/internal/legal"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/route"
@@ -446,6 +448,53 @@ func BenchmarkRouteLowStress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLegalize times the §V-A legalizer resolving a seeded set of
+// stacked overlaps on the 600-LUT bench netlist: 40 LUTs each dropped
+// onto another LUT's slot. Every op legalizes a fresh clone of the
+// same overlapped placement (cloned outside the timer) on one reused
+// Legalizer, as an engine does.
+func BenchmarkLegalize(b *testing.B) {
+	nl := benchNetlist(b, 600)
+	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	opts := place.Defaults()
+	opts.Effort = 0.3
+	base, err := place.Place(nl, f, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var luts []netlist.CellID
+	nl.Cells(func(c *netlist.Cell) {
+		if c.Kind == netlist.LUT {
+			luts = append(luts, c.ID)
+		}
+	})
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 40; k++ {
+		mover, host := luts[rng.Intn(len(luts))], luts[rng.Intn(len(luts))]
+		base.Place(mover, base.Loc(host))
+	}
+	dm := arch.DefaultDelayModel()
+	a, err := timing.AnalyzeWorkers(nl, base, dm, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leg := legal.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	moves := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pl := base.Clone()
+		b.StartTimer()
+		st, err := leg.Run(nl, pl, dm, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		moves += st.Moves
+	}
+	b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
 }
 
 // ---------------------------------------------------------------------

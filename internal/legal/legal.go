@@ -13,15 +13,16 @@ package legal
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
 	"repro/internal/placement"
 	"repro/internal/timing"
-	"repro/internal/wire"
 )
 
-// Legalizer resolves placement overlaps.
+// Legalizer resolves placement overlaps. It keeps per-search scratch
+// state, so it is not safe for concurrent use: each engine owns one.
 type Legalizer struct {
 	// Alpha weighs timing versus wiring cost (paper: 0.95).
 	Alpha float64
@@ -31,11 +32,18 @@ type Legalizer struct {
 	// MaxPasses bounds the number of single-overlap passes as a
 	// safety net against pathological placements.
 	MaxPasses int
+
+	// cache prices every slot of one search from per-cell terms.
+	cache costCache
+	// Search scratch, reused across searches.
+	targets, path, bestPath []arch.Loc
+	gain                    []float64
+	parent                  []int
 }
 
 // New returns a legalizer with the paper's parameters.
 func New() *Legalizer {
-	return &Legalizer{Alpha: 0.95, TimingWindow: 0.40, MaxPasses: 100000}
+	return &Legalizer{Alpha: 0.95, TimingWindow: 0.40, MaxPasses: 100000, cache: costCache{gen: 1}}
 }
 
 // Stats reports what a Run did.
@@ -81,32 +89,29 @@ func (l *Legalizer) resolveOne(nl *netlist.Netlist, pl *placement.Placement, dm 
 	// widened with the overall nearest free slots — in very dense
 	// placements the extra candidates often offer a far less damaging
 	// ripple direction.
-	targets := pl.QuadrantFreeSlots(congested)
+	targets := append(l.targets[:0], pl.QuadrantFreeSlots(congested)...)
 	for _, s := range pl.NearestFreeSlots(congested, 8) {
-		dup := false
-		for _, q := range targets {
-			if q == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(targets, s) {
 			targets = append(targets, s)
 		}
 	}
+	l.targets = targets
 	if len(targets) == 0 {
 		return 0, 0, fmt.Errorf("legal: no free slot to relieve %v (device full)", congested)
 	}
-	var bestPath []arch.Loc
+	// The placement is fixed for the whole search.
+	l.cache.reset()
+	bestPath := l.bestPath[:0]
 	bestGain := math.Inf(-1)
 	for _, free := range targets {
-		path, gain := l.maxGainPath(nl, pl, dm, a, congested, free)
-		if path != nil && gain > bestGain {
+		path, gain, ok := l.maxGainPath(nl, pl, dm, a, congested, free)
+		if ok && gain > bestGain {
 			bestGain = gain
-			bestPath = path
+			bestPath = append(bestPath[:0], path...)
 		}
 	}
-	if bestPath == nil {
+	l.bestPath = bestPath
+	if len(bestPath) == 0 {
 		return 0, 0, fmt.Errorf("legal: no ripple path from %v", congested)
 	}
 	// Execute the ripple from the free end backward: each cell moves
@@ -114,21 +119,36 @@ func (l *Legalizer) resolveOne(nl *netlist.Netlist, pl *placement.Placement, dm 
 	// could still be negative (i.e., we may lose some quality)" — the
 	// move happens regardless, because legality is mandatory.
 	for i := len(bestPath) - 1; i > 0; i-- {
-		from, to := bestPath[i-1], bestPath[i]
-		id, ok := l.pickCell(nl, pl, dm, a, from, to)
-		if !ok {
-			continue // slot emptied by an earlier unification
-		}
-		// Unify-on-collision (Section V-A).
-		if eq := l.equivalentAt(nl, pl, id, to); eq != netlist.None {
-			pl.Remove(id)
-			nl.Unify(netlist.CellID(eq), id)
+		moved, unify := l.step(nl, pl, dm, a, bestPath[i-1], bestPath[i])
+		if unify {
 			return moves, unified + 1, nil
 		}
-		pl.Place(id, to)
-		moves++
+		if moved {
+			moves++
+		}
 	}
 	return moves, unified, nil
+}
+
+// step is one ripple move: the best cell at `from` moves to the
+// adjacent slot `to`, or is unified with an equivalent cell already
+// there. It does nothing if `from` is empty (emptied by an earlier
+// unification).
+func (l *Legalizer) step(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, a *timing.Analysis, from, to arch.Loc) (moved, unify bool) {
+	// Earlier steps moved cells: drop the terms that read them.
+	l.cache.reset()
+	id, ok := l.pickCell(nl, pl, dm, a, from, to)
+	if !ok {
+		return false, false
+	}
+	// Unify-on-collision (Section V-A).
+	if eq := l.equivalentAt(nl, pl, id, to); eq != netlist.None {
+		pl.Remove(id)
+		nl.Unify(eq, id)
+		return false, true
+	}
+	pl.Place(id, to)
+	return true, false
 }
 
 // equivalentAt returns a cell at slot `to` logically equivalent to id,
@@ -165,9 +185,11 @@ func (l *Legalizer) pickCell(nl *netlist.Netlist, pl *placement.Placement, dm ar
 // maxGainPath builds the gain graph between the congested slot and one
 // free slot (Fig. 12) — all monotone staircase paths inside their
 // bounding rectangle — and returns the max-gain path with its total
-// gain. Edge gain is the cost delta of moving the cell resident at the
-// edge's source one slot toward the target.
-func (l *Legalizer) maxGainPath(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, a *timing.Analysis, congested, free arch.Loc) ([]arch.Loc, float64) {
+// gain, or ok == false if the free slot is unreachable. Edge gain is
+// the cost delta of moving the cell resident at the edge's source one
+// slot toward the target. The path is scratch, valid until the next
+// call.
+func (l *Legalizer) maxGainPath(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, a *timing.Analysis, congested, free arch.Loc) (path []arch.Loc, total float64, ok bool) {
 	dx := sign(int(free.X) - int(congested.X))
 	dy := sign(int(free.Y) - int(congested.Y))
 	w := abs(int(free.X)-int(congested.X)) + 1
@@ -179,8 +201,9 @@ func (l *Legalizer) maxGainPath(nl *netlist.Netlist, pl *placement.Placement, dm
 			Y: congested.Y + int16(j*dy),
 		}
 	}
-	gain := make([]float64, w*h)
-	parent := make([]int, w*h)
+	gain := slices.Grow(l.gain[:0], w*h)[:w*h]
+	parent := slices.Grow(l.parent[:0], w*h)[:w*h]
+	l.gain, l.parent = gain, parent
 	for idx := range gain {
 		gain[idx] = math.Inf(-1)
 		parent[idx] = -1
@@ -215,9 +238,9 @@ func (l *Legalizer) maxGainPath(nl *netlist.Netlist, pl *placement.Placement, dm
 	}
 	last := (h-1)*w + (w - 1)
 	if math.IsInf(gain[last], -1) {
-		return nil, 0
+		return nil, 0, false
 	}
-	var path []arch.Loc
+	path = l.path[:0]
 	for idx := last; idx >= 0; idx = parent[idx] {
 		path = append(path, slot(idx%w, idx/w))
 		if idx == 0 {
@@ -228,7 +251,8 @@ func (l *Legalizer) maxGainPath(nl *netlist.Netlist, pl *placement.Placement, dm
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
-	return path, gain[last]
+	l.path = path
+	return path, gain[last], true
 }
 
 // moveGain is the gain of moving the (best) resident of `from` to the
@@ -257,17 +281,12 @@ func (l *Legalizer) cellCost(nl *netlist.Netlist, pl *placement.Placement, dm ar
 }
 
 // wireCost sums the corrected half-perimeter lengths of the nets the
-// cell drives or reads, with the cell hypothetically at loc.
+// cell drives or reads, with the cell hypothetically at loc: each is
+// q(n) times the half-perimeter of its other pins' box grown by loc.
 func (l *Legalizer) wireCost(nl *netlist.Netlist, pl *placement.Placement, id netlist.CellID, loc arch.Loc) float64 {
-	override := func(c netlist.CellID) (arch.Loc, bool) {
-		if c == id {
-			return loc, true
-		}
-		return arch.Loc{}, false
-	}
 	total := 0.0
-	for _, net := range wire.CellNets(nl, id) {
-		total += wire.NetCost(nl, pl, net, override)
+	for _, t := range l.cache.wireTerms(nl, pl, id) {
+		total += t.q * float64(t.box.Expand(loc).HalfPerim())
 	}
 	return total
 }
@@ -305,46 +324,37 @@ func downOf(a *timing.Analysis, id netlist.CellID) float64 {
 // at loc, splicing the cached arrival/downstream delays of its
 // neighbors around the new wire lengths.
 func (l *Legalizer) throughAt(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, a *timing.Analysis, id netlist.CellID, loc arch.Loc) float64 {
-	c := nl.Cell(id)
+	e := l.cache.timingTerms(nl, pl, dm, a, id)
 	// Worst input arrival at loc.
 	in := 0.0
 	haveIn := false
-	for _, net := range c.Fanin {
-		if net == netlist.None {
-			continue
-		}
-		u := nl.Net(net).Driver
-		t := arrOf(a, u) + dm.WireDelay(arch.Dist(pl.Loc(u), loc))
+	for _, f := range l.cache.fanins[e.fanins.lo:e.fanins.hi] {
+		t := f.arr + dm.WireDelay(arch.Dist(f.loc, loc))
 		if !haveIn || t > in {
 			in = t
 			haveIn = true
 		}
 	}
-	intrinsic := timing.Intrinsic(dm, c)
 	through := math.Inf(-1)
-	if c.IsSink() && haveIn {
-		through = in + intrinsic
+	if e.isSink && haveIn {
+		through = in + e.intrinsic
 	}
 	// Worst downstream tail from loc.
-	if c.Out != netlist.None {
+	if e.hasOut {
 		start := 0.0
-		if !c.IsSource() {
+		if !e.isSource {
 			if !haveIn {
 				return 0
 			}
-			start = in + intrinsic
+			start = in + e.intrinsic
 		}
-		for _, p := range nl.Net(c.Out).Sinks {
-			v := p.Cell
-			vc := nl.Cell(v)
-			wireD := dm.WireDelay(arch.Dist(loc, pl.Loc(v)))
+		for _, s := range l.cache.sinks[e.sinks.lo:e.sinks.hi] {
+			wireD := dm.WireDelay(arch.Dist(loc, s.loc))
 			var tail float64
-			if down := downOf(a, v); vc.IsSink() {
-				tail = wireD + timing.Intrinsic(dm, vc)
-			} else if !math.IsInf(down, -1) {
-				tail = wireD + dm.LUTDelay + down
+			if s.sink {
+				tail = wireD + s.val
 			} else {
-				continue
+				tail = wireD + dm.LUTDelay + s.val
 			}
 			if t := start + tail; t > through {
 				through = t

@@ -506,8 +506,7 @@ func (s *state) affected(m move) {
 	}
 }
 
-// addCellNets adds the cell's output net and then its fanin nets, as
-// wire.CellNets lists them.
+// addCellNets adds the cell's output net and then its fanin nets.
 func (s *state) addCellNets(id netlist.CellID) {
 	c := s.nl.Cell(id)
 	if c.Out != netlist.None {

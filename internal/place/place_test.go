@@ -233,6 +233,41 @@ func loopyCircuit(t *testing.T) *netlist.Netlist {
 	return n
 }
 
+// cellNets is the reference net list of one cell: its output net plus
+// every distinct fanin net.
+func cellNets(nl *netlist.Netlist, id netlist.CellID) []netlist.NetID {
+	c := nl.Cell(id)
+	var nets []netlist.NetID
+	if c.Out != netlist.None {
+		nets = append(nets, c.Out)
+	}
+	for _, in := range c.Fanin {
+		if in != netlist.None && !slices.Contains(nets, in) {
+			nets = append(nets, in)
+		}
+	}
+	return nets
+}
+
+func TestCellNets(t *testing.T) {
+	n := netlist.New("nets")
+	d := n.AddCell("d", netlist.IPad, 0)
+	a := n.AddCell("a", netlist.LUT, 1)
+	n.ConnectByName(a.ID, 0, "d")
+	o := n.AddCell("o", netlist.OPad, 1)
+	n.ConnectByName(o.ID, 0, "a")
+	if nets := cellNets(n, a.ID); !slices.Equal(nets, []netlist.NetID{n.Cell(a.ID).Out, n.Cell(d.ID).Out}) {
+		t.Fatalf("cellNets(a) = %v, want own net then fanin net", nets)
+	}
+	// A cell reading the same net twice counts it once.
+	l2 := n.AddCell("l2", netlist.LUT, 2)
+	n.Connect(l2.ID, 0, n.Cell(d.ID).Out)
+	n.Connect(l2.ID, 1, n.Cell(d.ID).Out)
+	if nets := cellNets(n, l2.ID); len(nets) != 2 {
+		t.Errorf("cellNets(l2) = %v, want 2 nets (dedup fanin)", nets)
+	}
+}
+
 // TestAffectedMatchesReference checks the per-move scratch lists
 // against the map-based lists they replaced: the same nets and (u, v)
 // edges in the same first-occurrence order, one edge per distinct pair.
@@ -267,9 +302,9 @@ func TestAffectedMatchesReference(t *testing.T) {
 			}
 			moves++
 			s.affected(m)
-			wantNets := wire.CellNets(nl, m.a)
+			wantNets := cellNets(nl, m.a)
 			if m.b != netlist.None {
-				for _, n := range wire.CellNets(nl, m.b) {
+				for _, n := range cellNets(nl, m.b) {
 					if !slices.Contains(wantNets, n) {
 						wantNets = append(wantNets, n)
 					}

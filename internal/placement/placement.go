@@ -206,11 +206,15 @@ func (p *Placement) NearestFreeSlots(center arch.Loc, k int) []arch.Loc {
 	for r := 0; r <= maxR && len(out) < k; r++ {
 		for dx := -r; dx <= r; dx++ {
 			dy := r - abs(dx)
-			cands := []arch.Loc{{X: center.X + int16(dx), Y: center.Y + int16(dy)}}
-			if dy != 0 {
-				cands = append(cands, arch.Loc{X: center.X + int16(dx), Y: center.Y - int16(dy)})
+			cands := [2]arch.Loc{
+				{X: center.X + int16(dx), Y: center.Y + int16(dy)},
+				{X: center.X + int16(dx), Y: center.Y - int16(dy)},
 			}
-			for _, s := range cands {
+			n := 2
+			if dy == 0 {
+				n = 1 // both candidates are the same slot
+			}
+			for _, s := range cands[:n] {
 				if p.FreeLogicSlot(s) {
 					out = append(out, s)
 					if len(out) == k {

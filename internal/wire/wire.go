@@ -104,29 +104,3 @@ func TotalCost(nl *netlist.Netlist, pl timing.Locator) float64 {
 	})
 	return total
 }
-
-// CellNets returns the nets whose cost depends on the cell's location:
-// its output net plus every distinct fanin net.
-func CellNets(nl *netlist.Netlist, id netlist.CellID) []netlist.NetID {
-	c := nl.Cell(id)
-	var nets []netlist.NetID
-	if c.Out != netlist.None {
-		nets = append(nets, c.Out)
-	}
-	for _, in := range c.Fanin {
-		if in == netlist.None {
-			continue
-		}
-		dup := false
-		for _, seen := range nets {
-			if seen == in {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			nets = append(nets, in)
-		}
-	}
-	return nets
-}

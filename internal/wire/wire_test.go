@@ -95,21 +95,3 @@ func TestTotalCost(t *testing.T) {
 		t.Errorf("TotalCost = %v, want 12", got)
 	}
 }
-
-func TestCellNets(t *testing.T) {
-	n, _, _ := buildNet(t)
-	aID, _ := n.CellByName("a")
-	nets := CellNets(n, aID)
-	if len(nets) != 2 {
-		t.Fatalf("CellNets(a) = %v, want 2 nets (own + fanin)", nets)
-	}
-	// A cell reading the same net twice counts it once.
-	dID, _ := n.CellByName("d")
-	l2 := n.AddCell("l2", netlist.LUT, 2)
-	n.Connect(l2.ID, 0, n.Cell(dID).Out)
-	n.Connect(l2.ID, 1, n.Cell(dID).Out)
-	nets = CellNets(n, l2.ID)
-	if len(nets) != 2 {
-		t.Errorf("CellNets(l2) = %v nets, want 2 (dedup fanin)", len(nets))
-	}
-}
