@@ -42,10 +42,10 @@ vet:
 	$(GO) vet ./...
 
 # replint is the project's own static analyzer (cmd/replint): the
-# lexical determinism/correctness rules plus the module-wide dataflow
+# lexical determinism/correctness rules, the module-wide dataflow
 # suite (detflow nondeterminism taint, ctxstride cancellation polling,
 # hotalloc DP-hot-path allocations, shardwrite worker-shard writes) and
-# the points-to layer (aliasrace, arenaescape, chanshare).
+# the flow-sensitive family (stalegen, lockorder, wgleak, deferbal).
 # Zero unsuppressed findings is part of `make check`; see
 # `go run ./cmd/replint -rules` for the catalog.
 lint:

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // fixtureRoot is the analysis fixture module: a self-contained go.mod
@@ -142,17 +146,64 @@ func TestRulesCatalog(t *testing.T) {
 	if code := run([]string{"-rules"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-rules exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{
-		"maprange", "floatcmp", "scratchleak", "sharedwrite",
-		"detflow", "ctxstride", "hotalloc", "shardwrite",
-	} {
-		if !strings.Contains(stdout.String(), rule+"\n") {
-			t.Errorf("-rules catalog is missing %s", rule)
+	for _, a := range analysis.All() {
+		if !strings.Contains(stdout.String(), a.Name+"\n") {
+			t.Errorf("-rules catalog is missing %s", a.Name)
 		}
 	}
 	for _, directive := range []string{"replint:ignore", "replint:metadata"} {
 		if !strings.Contains(stdout.String(), directive) {
 			t.Errorf("-rules catalog does not document //%s", directive)
+		}
+	}
+}
+
+// TestProblemMatcherMatchesCatalog keeps the CI problem matcher in step
+// with the rule catalog: its rule alternation must list exactly the
+// shipped rules plus the reserved directive rule, and it must parse a
+// finding of each into file, line, column, rule and message. A rule
+// missing from the alternation would never annotate a PR diff.
+func TestProblemMatcherMatchesCatalog(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", ".github", "replint-problem-matcher.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp string `json:"regexp"`
+				Code   int    `json:"code"`
+			} `json:"pattern"`
+		} `json:"problemMatcher"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.ProblemMatcher) != 1 || len(m.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("want one matcher with one pattern, got %+v", m)
+	}
+	pat := m.ProblemMatcher[0].Pattern[0]
+	alt := regexp.MustCompile(`\(((?:[a-z]+\|)+[a-z]+)\)`).FindStringSubmatch(pat.Regexp)
+	if alt == nil {
+		t.Fatalf("no rule alternation in matcher regexp %q", pat.Regexp)
+	}
+	got := strings.Split(alt[1], "|")
+	want := []string{"directive"}
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("matcher rules = %v, want the catalog plus directive: %v", got, want)
+	}
+
+	re := regexp.MustCompile(pat.Regexp)
+	for _, rule := range want {
+		line := "internal/embed/solve.go:12:3: " + rule + ": a message: with colons"
+		sub := re.FindStringSubmatch(line)
+		if sub == nil || pat.Code >= len(sub) || sub[pat.Code] != rule {
+			t.Errorf("matcher does not parse %q as rule %s: %q", line, rule, sub)
 		}
 	}
 }

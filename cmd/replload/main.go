@@ -129,7 +129,6 @@ func main() {
 		// The shared Backoff's fields are written once inside
 		// sync.Once.Do and its jitter rng is guarded by its own mutex;
 		// workers only read the frozen schedule.
-		//replint:ignore aliasrace -- Backoff init is sync.Once-guarded and its rng mutex-guarded; workers read a frozen schedule
 		go lg.worker(ctx, done)
 	}
 	for i := 0; i < *n; i++ {
@@ -196,7 +195,6 @@ func (lg *loadgen) worker(ctx context.Context, done chan<- struct{}) {
 	for idx := range lg.work {
 		// Each index arrives over the unbuffered work channel to
 		// exactly one worker, so results slots are disjoint per job.
-		//replint:ignore aliasrace -- idx is received from the work channel by exactly one worker; results[idx] slots are disjoint
 		lg.results[idx] = lg.runJob(ctx, idx)
 	}
 	done <- struct{}{}

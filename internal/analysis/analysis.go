@@ -39,10 +39,7 @@ func (f Finding) String() string {
 // Pass is the per-package context handed to each analyzer.
 type Pass struct {
 	Pkg *Package
-	// Mod is the whole-module dataflow context. It is non-nil when the
-	// package is analyzed through Module.RunPackage; the interprocedural
-	// rules no-op without it, and floatcmp loses only its zero-sentinel
-	// exemption.
+	// Mod is the whole-module dataflow context; never nil.
 	Mod    *Module
 	report func(pos token.Pos, rule, msg string)
 }
@@ -87,7 +84,6 @@ func All() []*Analyzer {
 		MapRange,
 		FloatCmp,
 		ScratchLeak,
-		SharedWrite,
 		DetFlow,
 		CtxStride,
 		HotAlloc,
@@ -96,9 +92,6 @@ func All() []*Analyzer {
 		LockOrder,
 		WGLeak,
 		DeferBal,
-		AliasRace,
-		ArenaEscape,
-		ChanShare,
 	}
 }
 
@@ -112,24 +105,17 @@ var knownRules = func() map[string]bool {
 	return m
 }()
 
-// RunAnalyzers applies the analyzers to one loaded package and returns
+// RunPackage applies the analyzers to one module package and returns
 // the findings — directive-suppressed ones included but marked — in
 // file/line order. Malformed replint directives are reported under the
 // reserved rule "directive", which cannot be suppressed.
-//
-// This entry point has no module context: the interprocedural rules
-// report nothing through it. Prefer BuildModule + Module.RunPackage.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
-	return runAnalyzers(nil, pkg, analyzers)
-}
-
-func runAnalyzers(mod *Module, pkg *Package, analyzers []*Analyzer) []Finding {
+func (m *Module) RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 	dirs := collectDirectives(pkg)
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
 			Pkg: pkg,
-			Mod: mod,
+			Mod: m,
 			report: func(pos token.Pos, rule, msg string) {
 				findings = append(findings, Finding{Pos: pkg.Fset.Position(pos), Rule: rule, Msg: msg})
 			},
@@ -153,8 +139,7 @@ func runAnalyzers(mod *Module, pkg *Package, analyzers []*Analyzer) []Finding {
 
 // SortFindings orders findings by (file, line, col, rule, msg). The
 // order is total: two findings can share a position and rule but
-// differ in message (e.g. one racing write reaching two abstract
-// objects), and sort.Slice is unstable.
+// differ in message, and sort.Slice is unstable.
 func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := &findings[i], &findings[j]

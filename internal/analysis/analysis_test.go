@@ -44,6 +44,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		t.Fatal("no fixture packages found under testdata/src/fixture")
 	}
 	rulesSeen := map[string]bool{}
+	// suppressedSeen records rules with a wantsuppressed case that came
+	// back suppressed with its reason intact.
+	suppressedSeen := map[string]bool{}
 	for _, path := range paths {
 		t.Run(strings.TrimPrefix(path, "fixture/"), func(t *testing.T) {
 			pkg := mod.Package(path)
@@ -113,6 +116,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 					t.Errorf("%s:%d: suppressed %s finding lost its directive reason",
 						filepath.Base(k.file), k.line, k.rule)
 				}
+				if suppressed && f.Suppressed && f.Reason != "" {
+					suppressedSeen[k.rule] = true
+				}
 				delete(got, k)
 			}
 			for k, f := range got {
@@ -122,11 +128,15 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		})
 	}
 	// Every shipped analyzer (plus the directive pseudo-rule) must be
-	// exercised by at least one fixture, in both directions where the
-	// wants say so.
+	// exercised by at least one fixture, and every analyzer by at least
+	// one //replint:ignore'd case that stays suppressed, so the
+	// suppression path of each rule is under test.
 	for _, a := range All() {
 		if !rulesSeen[a.Name] {
 			t.Errorf("no fixture exercises rule %s", a.Name)
+		}
+		if !suppressedSeen[a.Name] {
+			t.Errorf("no fixture has a wantsuppressed case for rule %s", a.Name)
 		}
 	}
 	if !rulesSeen[directiveRule] {

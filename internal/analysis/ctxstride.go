@@ -32,9 +32,6 @@ var CtxStride = &Analyzer{
 
 func runCtxStride(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, f := range mod.funcsInPackage(pass.Pkg) {
 		if !hasCtxAccess(f) {
 			continue

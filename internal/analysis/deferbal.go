@@ -31,9 +31,6 @@ var DeferBal = &Analyzer{
 
 func runDeferBal(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, f := range mod.funcsInPackage(pass.Pkg) {
 		for _, fc := range flowContexts(f.Decl) {
 			c := mod.cfgOf(pass.Pkg, fc.body)

@@ -378,9 +378,6 @@ func arithExpr(pkg *Package, e ast.Expr) bool {
 // a call result or range binding disqualifies (the value's history
 // left the function).
 func zeroSentinelExempt(mod *Module, pkg *Package, fn *ast.FuncDecl, expr ast.Expr) bool {
-	if mod == nil {
-		return false
-	}
 	return storageZeroExempt(mod, pkg, fn, expr, 0)
 }
 

@@ -38,9 +38,6 @@ var DetFlow = &Analyzer{
 
 func runDetFlow(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	t := mod.taint
 	inServe := strings.Contains(relPath(pass.Pkg.Path), "serve")
 	for _, f := range mod.funcsInPackage(pass.Pkg) {

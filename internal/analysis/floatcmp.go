@@ -30,7 +30,7 @@ import (
 //     or slices call: a comparator must induce a strict weak ordering,
 //     and an epsilon tie there would break transitivity — exact
 //     comparison is the only correct choice in that position;
-//   - (module mode only) comparisons against literal 0 where the
+//   - comparisons against literal 0 where the
 //     compared storage is never written by arithmetic anywhere in the
 //     module — the zero-means-unset idiom for optional config fields.
 //     0 there can only be the zero value or an explicitly stored
@@ -123,13 +123,10 @@ func runFloatCmp(pass *Pass) {
 	}
 }
 
-// zeroUnsetCompare recognizes the zero-means-unset idiom in module
-// mode: one operand is the literal constant 0 and the other is
-// storage the whole-module facts prove is never arithmetic-written.
+// zeroUnsetCompare recognizes the zero-means-unset idiom: one operand
+// is the literal constant 0 and the other is storage the whole-module
+// facts prove is never arithmetic-written.
 func zeroUnsetCompare(pass *Pass, file *ast.File, ex *ast.BinaryExpr) bool {
-	if pass.Mod == nil {
-		return false
-	}
 	var other ast.Expr
 	switch {
 	case isZeroConst(pass, ex.X):

@@ -66,9 +66,6 @@ func buildHotSet(m *Module) map[*types.Func]bool {
 
 func runHotAlloc(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, f := range mod.funcsInPackage(pass.Pkg) {
 		if !mod.hot[f.Obj] {
 			continue

@@ -36,10 +36,7 @@ var LockOrder = &Analyzer{
 
 func runLockOrder(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
-	lf := mod.lockFacts()
+	lf := mod.locks
 	for _, v := range lf.violations {
 		if v.pkg == pass.Pkg {
 			pass.Report(v.pos, "lockorder", v.msg)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -16,9 +15,8 @@ import (
 // determinism-taint solution.
 //
 // Per-file syntactic rules work from a Pass alone; the interprocedural
-// rules (detflow, ctxstride, hotalloc, shardwrite) and the floatcmp
-// zero-sentinel exemption consult Pass.Mod, and degrade to no-ops when
-// it is nil (the legacy per-package entry point).
+// rules (detflow, ctxstride, hotalloc, shardwrite), the flow-sensitive
+// family and the floatcmp zero-sentinel exemption consult Pass.Mod.
 type Module struct {
 	Loader *Loader
 	// Pkgs are all packages of the module in import-path order.
@@ -42,8 +40,8 @@ type Module struct {
 
 	// Flow-sensitive layer: //replint:guarded field→counter pairs (and
 	// their placement issues), noreturn summaries threaded into CFG
-	// construction, the per-body CFG cache, and the lazily built lock
-	// discipline facts.
+	// construction, the per-body CFG cache, and the lock discipline
+	// facts.
 	guard    map[types.Object]types.Object
 	guardBad map[*Package][]guardIssue
 	noreturn map[*types.Func]bool
@@ -51,13 +49,9 @@ type Module struct {
 	cfgMu    sync.Mutex
 	locks    *lockFactsData
 
-	// Alias layer: the named-type index shared between call-graph and
-	// points-to interface resolution, the module-wide Andersen solution,
-	// and the per-context heap-effect summaries the shared-heap rules
-	// (aliasrace, arenaescape, chanshare) consume.
+	// impls is the named-type index the call graph resolves interface
+	// calls through.
 	impls *implIndex
-	pts   *ptsFacts
-	heap  *heapFacts
 }
 
 // ModFunc is one declared function or method with a body. Function
@@ -108,13 +102,11 @@ func BuildModule(loader *Loader) (*Module, error) {
 	m.noreturn = buildNoReturn(m)
 	m.cfgs = map[*ast.BlockStmt]*cfg{}
 	m.guard, m.guardBad = collectGuardedFields(m)
-	// The alias layer builds eagerly (and last): points-to needs the
-	// call graph and implementation index, the heap-effect summaries
-	// need points-to plus the lock facts. Building here keeps every
-	// module-wide structure read-only by the time RunPackages fans out.
+	// The lock facts build here, not on first use: lockorder runs on
+	// every RunPackages worker, and a lazy build would be a shared
+	// write across them. Built eagerly, every module-wide structure is
+	// read-only by the time RunPackages fans out.
 	m.locks = buildLockFacts(m)
-	m.pts = buildPointsTo(m)
-	m.heap = buildHeapEffects(m)
 	return m, nil
 }
 
@@ -130,15 +122,6 @@ func (m *Module) cfgOf(pkg *Package, body *ast.BlockStmt) *cfg {
 	c := buildCFG(pkg, body, m.noreturn)
 	m.cfgs[body] = c
 	return c
-}
-
-// lockFacts returns the module's lock-discipline facts, built on first
-// demand (they need the CFG layer, which needs noreturn summaries).
-func (m *Module) lockFacts() *lockFactsData {
-	if m.locks == nil {
-		m.locks = buildLockFacts(m)
-	}
-	return m.locks
 }
 
 // Package returns the loaded package with the given import path, or
@@ -167,13 +150,6 @@ func (m *Module) collectFuncs() {
 			}
 		}
 	}
-}
-
-// RunPackage applies the analyzers to one module package with the
-// interprocedural context attached, returning findings exactly as
-// RunAnalyzers does.
-func (m *Module) RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	return runAnalyzers(m, pkg, analyzers)
 }
 
 // RunPackages runs the full catalog over the named packages on
@@ -205,7 +181,7 @@ func (m *Module) RunPackages(paths []string) map[string][]Finding {
 				if pkg == nil {
 					continue
 				}
-				results <- result{path, runAnalyzers(m, pkg, analyzers)}
+				results <- result{path, m.RunPackage(pkg, analyzers)}
 			}
 		}()
 	}
@@ -274,15 +250,4 @@ func enclosingFuncDecl(file *ast.File, pos int) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// sortedFuncs returns the keys of a func-keyed set in source order,
-// for deterministic reporting out of fixpoint results.
-func sortedFuncs(set map[*types.Func]bool) []*types.Func {
-	out := make([]*types.Func, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }

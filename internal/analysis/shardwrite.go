@@ -5,15 +5,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 )
 
-// ShardWrite is the interprocedural sibling of sharedwrite: it
-// reasons about *multi-instance* worker goroutines (launched inside a
-// loop, or several literals in one function) and accepts a broader —
-// but still structural — disjointness vocabulary of shard keys:
+// ShardWrite flags writes to captured state inside worker function
+// literals: literals launched with `go`, handed to a worker-spawning
+// callee (runLevel and friends), or bound to a variable that is later
+// launched or handed. A worker that writes through a captured pointer,
+// slice, map or variable races with its siblings, or with its
+// launcher, unless the written locations are provably disjoint.
+//
+// The rule accepts a structural disjointness vocabulary of shard keys:
 //
 //   - the worker literal's own parameters (the partitioned-write
-//     idiom sharedwrite already blesses);
+//     idiom: `a.Arr[id] = v` inside `func(id CellID) {...}` passed to
+//     runLevel);
 //   - the launching loop's iteration variables (each instance closes
 //     over a distinct value since go1.22 per-iteration scoping);
 //   - atomic claim indices: locals defined from an Add on a
@@ -23,32 +29,35 @@ import (
 // A direct captured write with no shard-key index on its path is
 // flagged. So is passing a captured reference to a module function
 // that writes through that parameter (the writeParam summary) without
-// a shard-key index in the argument — the interprocedural case a
-// lexical rule cannot see: the write happens in the callee, the
-// capture in the caller.
+// a shard-key index in the argument: the write happens in the callee,
+// the capture in the caller. Any other captured write needs an
+// explicit //replint:ignore with the disjointness reasoning spelled
+// out. Such a directive on a call covers every write in the callee,
+// present and future, so its reason must hold for the whole callee.
 const shardWriteRule = "shardwrite"
 
 var ShardWrite = &Analyzer{
 	Name: shardWriteRule,
-	Doc: "flags writes to variables captured by multi-instance worker-shard " +
-		"goroutines without a per-shard index (worker parameter, launching " +
-		"loop variable, or atomic claim index), including writes that happen " +
-		"inside callees the captured reference is passed to",
+	Doc: "flags writes to variables captured by worker goroutines without a " +
+		"per-shard index (worker parameter, launching loop variable, or " +
+		"atomic claim index), including writes that happen inside callees " +
+		"the captured reference is passed to",
 	Run: runShardWrite,
 }
 
+// workerCalleeRE matches the names of functions that fan a callback out
+// across goroutines: a function literal passed to one of these runs
+// concurrently even though no `go` keyword appears at the call site.
+var workerCalleeRE = regexp.MustCompile(`^run(Level|Shard|Chunk|Span|Worker)s?$`)
+
 func runShardWrite(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, f := range mod.funcsInPackage(pass.Pkg) {
 		checkShardFunc(pass, f)
 	}
 }
 
-// shardWorker is one multi-instance worker literal with its shard-key
-// objects.
+// shardWorker is one worker literal with its shard-key objects.
 type shardWorker struct {
 	lit  *ast.FuncLit
 	keys map[types.Object]bool
@@ -60,10 +69,9 @@ func checkShardFunc(pass *Pass, f *ModFunc) {
 	}
 }
 
-// collectShardWorkers finds multi-instance worker literals in f: the
-// literal is a worker (go statement / runX callee / bound-then-used,
-// as in sharedwrite) AND either its launch site sits inside a loop or
-// the function launches two or more workers.
+// collectShardWorkers finds the worker literals in f: literals in a go
+// statement, passed to a runX callee, or bound to a variable that is
+// then launched or passed.
 func collectShardWorkers(pass *Pass, f *ModFunc) []*shardWorker {
 	// Loop ranges and their iteration variables.
 	type loopInfo struct {
@@ -98,30 +106,27 @@ func collectShardWorkers(pass *Pass, f *ModFunc) []*shardWorker {
 		}
 		return true
 	})
-	// Worker literals with their launch sites. fanout marks launches
-	// through a runX callee, which spawns one instance per shard
-	// internally even when the call itself is not in a loop.
+	// Worker literals with their launch sites.
 	type launch struct {
-		lit    *ast.FuncLit
-		pos    token.Pos
-		fanout bool
+		lit *ast.FuncLit
+		pos token.Pos
 	}
 	var launches []launch
-	addLaunch := func(arg ast.Expr, at token.Pos, fanout bool) {
+	addLaunch := func(arg ast.Expr, at token.Pos) {
 		switch a := ast.Unparen(arg).(type) {
 		case *ast.FuncLit:
-			launches = append(launches, launch{a, at, fanout})
+			launches = append(launches, launch{a, at})
 		case *ast.Ident:
 			// Bound literal: launch position is the use site.
 			if lit := launchedLiteral(pass.Pkg, f.Decl, &ast.CallExpr{Fun: a}); lit != nil {
-				launches = append(launches, launch{lit, at, fanout})
+				launches = append(launches, launch{lit, at})
 			}
 		}
 	}
 	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.GoStmt:
-			addLaunch(st.Call.Fun, st.Pos(), false)
+			addLaunch(st.Call.Fun, st.Pos())
 		case *ast.CallExpr:
 			name := ""
 			switch fun := st.Fun.(type) {
@@ -132,7 +137,7 @@ func collectShardWorkers(pass *Pass, f *ModFunc) []*shardWorker {
 			}
 			if workerCalleeRE.MatchString(name) {
 				for _, arg := range st.Args {
-					addLaunch(arg, st.Pos(), true)
+					addLaunch(arg, st.Pos())
 				}
 			}
 		}
@@ -141,36 +146,20 @@ func collectShardWorkers(pass *Pass, f *ModFunc) []*shardWorker {
 	if len(launches) == 0 {
 		return nil
 	}
-	inLoop := func(pos token.Pos) (map[types.Object]bool, bool) {
-		keys := map[types.Object]bool{}
-		hit := false
-		for _, l := range loops {
-			if l.from <= pos && pos <= l.to {
-				hit = true
-				for o := range l.vars {
-					keys[o] = true
-				}
-			}
-		}
-		return keys, hit
-	}
 	var out []*shardWorker
 	seen := map[*ast.FuncLit]bool{}
 	for _, l := range launches {
 		if seen[l.lit] {
 			continue
 		}
-		loopVars, launchedInLoop := inLoop(l.pos)
-		if !launchedInLoop && !l.fanout && len(launches) < 2 {
-			continue // single-instance goroutine: sharedwrite's turf
-		}
 		seen[l.lit] = true
-		keys := map[types.Object]bool{}
-		for o := range paramObjects(pass, l.lit) {
-			keys[o] = true
-		}
-		for o := range loopVars {
-			keys[o] = true
+		keys := paramObjects(pass, l.lit)
+		for _, lp := range loops {
+			if lp.from <= l.pos && l.pos <= lp.to {
+				for o := range lp.vars {
+					keys[o] = true
+				}
+			}
 		}
 		addAtomicClaimKeys(pass, l.lit, keys)
 		out = append(out, &shardWorker{lit: l.lit, keys: keys})
@@ -248,7 +237,7 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 					continue
 				}
 				pass.Report(lhs.Pos(), shardWriteRule, fmt.Sprintf(
-					"multi-instance worker shard writes captured %s via %s without a per-shard index; "+
+					"worker shard writes captured %s via %s without a per-shard index; "+
 						"index by the worker parameter, loop variable, or an atomic claim, or document disjointness with //replint:ignore",
 					root.Name(), exprString(lhs)))
 			}
@@ -256,7 +245,7 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 			root := rootObject(pass, st.X)
 			if captured(root) && !shardIndexed(pass, st.X, w.keys) {
 				pass.Report(st.X.Pos(), shardWriteRule, fmt.Sprintf(
-					"multi-instance worker shard mutates captured %s without a per-shard index", root.Name()))
+					"worker shard mutates captured %s without a per-shard index", root.Name()))
 			}
 		case *ast.CallExpr:
 			callee := calleeFunc(pass.Pkg, st)
@@ -301,9 +290,8 @@ func checkShardArg(pass *Pass, w *shardWorker, arg ast.Expr, callee *types.Func,
 }
 
 // shardIndexed reports whether some index step on the expression path
-// mentions a shard key. Unlike sharedwrite's partitionedWrite (all
-// steps, parameters only), one shard-keyed step suffices here — the
-// key already makes sibling instances' paths distinct.
+// mentions a shard key. One shard-keyed step suffices: the key already
+// makes sibling instances' paths distinct.
 func shardIndexed(pass *Pass, e ast.Expr, keys map[types.Object]bool) bool {
 	for {
 		switch ex := ast.Unparen(e).(type) {
@@ -338,4 +326,20 @@ func exprMentionsAny(pass *Pass, e ast.Expr, objs map[types.Object]bool) bool {
 		return !found
 	})
 	return found
+}
+
+// paramObjects returns the objects declared by the funcLit's parameters.
+func paramObjects(pass *Pass, lit *ast.FuncLit) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	if lit.Type == nil || lit.Type.Params == nil {
+		return out
+	}
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := pass.ObjectOf(name); obj != nil {
+				out[obj] = true
+			}
+		}
+	}
+	return out
 }

@@ -30,9 +30,6 @@ var StaleGen = &Analyzer{
 
 func runStaleGen(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, gi := range mod.guardBad[pass.Pkg] {
 		pass.Report(gi.pos, directiveRule, gi.msg)
 	}

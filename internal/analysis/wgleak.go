@@ -38,9 +38,6 @@ var WGLeak = &Analyzer{
 
 func runWGLeak(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, f := range mod.funcsInPackage(pass.Pkg) {
 		for _, fc := range flowContexts(f.Decl) {
 			checkWGLeak(pass, mod, f, fc)

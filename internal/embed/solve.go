@@ -404,10 +404,8 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 			ref := int32(len(*pool))
 			// Each caller passes a private pool/seed pair: join workers
 			// a stack-local shard, tree-node goroutines their own node's
-			// table. The context-insensitive summary conflates them.
-			//replint:ignore aliasrace -- pool is the caller's private shard (stack-local sp per join worker, per-node table per wavefront goroutine); shards merge after wg.Wait
+			// table. Shards merge after wg.Wait.
 			*pool = append(*pool, arena[cb.off:cb.off+k]...)
-			//replint:ignore aliasrace -- seeds is the caller's private shard slice (nil per join worker); the rebasing merge after wg.Wait is the only cross-shard reader
 			seeds = append(seeds, queueItem{
 				sol:    solution{sig: sig, kind: kindJoin, joinRef: ref},
 				vertex: v,
@@ -478,9 +476,7 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 				// Chunk indices come from the atomic counter: each
 				// worker claims a distinct ci, so the outs entries
 				// written here are disjoint across workers.
-				//replint:ignore sharedwrite -- ci is claimed via next.Add; workers own disjoint outs entries
 				outs[ci].seeds = r.joinSpan(id, lo, hi, nil, &sp, nil, sc)
-				//replint:ignore sharedwrite -- ci is claimed via next.Add; workers own disjoint outs entries
 				outs[ci].pool = sp
 			}
 		}()
@@ -491,7 +487,6 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 		// The merge runs after wg.Wait, and across the per-node
 		// wavefront goroutines each node folds into its own table
 		// (keyed by the goroutine's id parameter).
-		//replint:ignore aliasrace -- sequential merge post wg.Wait; per-node goroutines write only their own id's pool
 		*pool = append(*pool, outs[ci].pool...)
 		for _, it := range outs[ci].seeds {
 			it.sol.joinRef += base

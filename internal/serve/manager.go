@@ -137,9 +137,7 @@ func NewManager(cfg Config) *Manager {
 		m.wg.Add(1)
 		// Each worker executes only jobs it alone dequeued under m.mu;
 		// a job's netlist is cloned inside that job's execution and is
-		// never shared across workers. Ownership transfer through the
-		// queue is outside the points-to model.
-		//replint:ignore aliasrace -- per-job ownership: each netlist clone belongs to the single worker that dequeued the job
+		// never shared across workers.
 		go m.worker()
 	}
 	return m
