@@ -19,7 +19,7 @@ QUEUE ?= 64
 JOBS ?= 50
 CONCURRENCY ?= 8
 
-.PHONY: build test race vet lint assert oracle cover serve-race check bench perfbench serve loadtest clean
+.PHONY: build fmt test race vet lint assert oracle cover serve-race check bench perfbench serve loadtest clean
 
 # Coverage floor for the differentially-tested packages (per-package,
 # percent of statements). The oracle exists to exercise the embedder;
@@ -32,6 +32,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the
+# tree (fixtures and the perfbench module included).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Race suite: -short keeps the randomized sweeps small so the whole
 # thing stays well under two minutes.
@@ -82,10 +87,10 @@ serve-race:
 	$(GO) test -race -count 1 ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -count 1 -run TestRunContext ./internal/core/
 
-# The full gate, in CI order: compile, vet, lint (incl. internal/serve),
-# plain tests, the asserting build, the oracle + coverage gate, the
+# The full gate, in CI order: compile, gofmt, vet, lint (incl.
+# internal/serve), plain tests, the asserting build, the oracle + coverage gate, the
 # race suite, then the service race suite.
-check: build vet lint test assert cover race serve-race
+check: build fmt vet lint test assert cover race serve-race
 
 # Runs the embedder/STA micro-benchmarks; the text results also land
 # in BENCH_embed.txt.

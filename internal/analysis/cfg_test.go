@@ -271,17 +271,17 @@ func TestMustPassToExit(t *testing.T) {
 		want bool
 	}{
 		{"allPaths", true},
-		{"branchOnly", false},       // bump on the then-branch only
-		{"bothBranches", true},      // both arms discharge
-		{"panicPath", true},         // panicking path is vacuous
-		{"exitPath", true},          // os.Exit terminates its block
-		{"viaNoReturn", true},       // noreturn summary covers the wrapper
-		{"infiniteLoop", true},      // no path returns at all
-		{"loopEscape", true},        // break/continue both rejoin before bump
-		{"switchNoDefault", false},  // missing default falls through unbumped
-		{"switchDefault", true},     // every clause discharges
-		{"selectBoth", true},        // both comm clauses discharge
-		{"gotoSkip", false},         // goto jumps over the bump
+		{"branchOnly", false},            // bump on the then-branch only
+		{"bothBranches", true},           // both arms discharge
+		{"panicPath", true},              // panicking path is vacuous
+		{"exitPath", true},               // os.Exit terminates its block
+		{"viaNoReturn", true},            // noreturn summary covers the wrapper
+		{"infiniteLoop", true},           // no path returns at all
+		{"loopEscape", true},             // break/continue both rejoin before bump
+		{"switchNoDefault", false},       // missing default falls through unbumped
+		{"switchDefault", true},          // every clause discharges
+		{"selectBoth", true},             // both comm clauses discharge
+		{"gotoSkip", false},              // goto jumps over the bump
 		{"earlyReturnBeforeWrite", true}, // the early return precedes the query point
 	}
 	for _, tc := range cases {

@@ -14,7 +14,7 @@ import (
 //
 //   - construction of a result frontier (stores/appends into a field
 //     named Frontier) and the canonical ordering/dominance helpers
-//     (totalLess, dominates) — the oracle compares these bitwise;
+//     (totalCmp, dominates) — the oracle compares these bitwise;
 //   - JSON job output in the serve packages (json.Marshal /
 //     Encoder.Encode) — clients replay and diff these;
 //   - golden-file writers (os.WriteFile, functions named *Golden*) —
@@ -30,7 +30,7 @@ var DetFlow = &Analyzer{
 	Name: detFlowRule,
 	Doc: "flags nondeterministic values (wall clock, global math/rand, map " +
 		"iteration order, goroutine completion order, pointer formatting) " +
-		"flowing into determinism sinks: frontier construction, totalLess/" +
+		"flowing into determinism sinks: frontier construction, totalCmp/" +
 		"dominates, serve JSON output, golden-file writers; annotate " +
 		"deliberately nondeterministic diagnostic fields //replint:metadata",
 	Run: runDetFlow,
@@ -114,7 +114,7 @@ func checkCallSinks(pass *Pass, f *ModFunc, call *ast.CallExpr, inServe bool, ch
 	if mod.byObj[callee] != nil {
 		name := callee.Name()
 		switch {
-		case name == "totalLess" || name == "dominates":
+		case name == "totalCmp" || name == "dominates":
 			for _, arg := range call.Args {
 				check(arg, fmt.Sprintf("the canonical solution order (%s)", name))
 			}
@@ -218,7 +218,7 @@ func (t *taintFacts) seedSinkParams() {
 			}
 			if t.mod.byObj[callee] != nil {
 				name := callee.Name()
-				if name == "totalLess" || name == "dominates" || strings.Contains(name, "Golden") {
+				if name == "totalCmp" || name == "dominates" || strings.Contains(name, "Golden") {
 					for _, arg := range call.Args {
 						seed(arg)
 					}

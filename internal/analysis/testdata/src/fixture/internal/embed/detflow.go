@@ -1,5 +1,5 @@
 // Fixture for the detflow rule, embed side: the result frontier and
-// the canonical order helper (totalLess) are determinism sinks, and
+// the canonical order helper (totalCmp) are determinism sinks, and
 // taint crosses call boundaries — nowStamp below is the source, its
 // callers carry the finding. Each tainted path uses its own point
 // type: field facts are module-global, so sharing one type would
@@ -22,12 +22,12 @@ type StampedCurve struct {
 	Frontier []StampedPoint
 }
 
-// totalLess is the canonical order helper: its arguments are sinks.
-func totalLess(a, b StampedPoint) bool {
+// totalCmp is the canonical order helper: its arguments are sinks.
+func totalCmp(a, b StampedPoint) int {
 	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
+		return a.Cost - b.Cost
 	}
-	return a.Stamp < b.Stamp
+	return a.Stamp - b.Stamp
 }
 
 // nowStamp derives a key from the wall clock: the taint source sits
@@ -41,7 +41,7 @@ func nowStamp() int {
 // only the return-edge propagation connects it to these lines.
 func buildStamped(c *StampedCurve, p StampedPoint) {
 	q := StampedPoint{Cost: 1, Stamp: nowStamp()}
-	if totalLess(p, q) { // want detflow
+	if totalCmp(p, q) < 0 { // want detflow
 		c.Frontier = append(c.Frontier, q) // want detflow
 	}
 }

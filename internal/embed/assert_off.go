@@ -13,3 +13,5 @@ func assertNonDominatedCombos(Mode, []combo)           {}
 func assertWaveOrder(Mode, *Sig, bool, *Sig)           {}
 func assertNoReverseDomination(Mode, []solution, *Sig) {}
 func assertFrontier(Mode, []FrontierSol, bool)         {}
+func assertKeyable(*Sig)                               {}
+func poisonScratch(*solverScratch)                     {}

@@ -2,7 +2,10 @@
 
 package embed
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // assertEnabled gates the replassert runtime invariant layer. Built
 // with -tags replassert, the solver re-checks its structural invariants
@@ -26,7 +29,7 @@ func assertStaircase(stair []stairStep) {
 
 // assertNonDominatedCombos panics unless a pruned combo set is a full
 // antichain of the dominance order. Both directions hold because the
-// prune sweep sorts by totalLess, a refinement of dominance: a
+// prune sweep sorts by totalCmp, a refinement of dominance: a
 // dominating combo always sorts first, so the forward scan removes
 // every dominated entry — including the smaller-Peak/Branch cases the
 // old heap-order sort could leave pointing backwards.
@@ -88,6 +91,44 @@ func assertFrontier(m Mode, frontier []FrontierSol, crossVertex bool) {
 				panic(fmt.Sprintf(
 					"replassert: frontier entry %d dominates entry %d", i, j))
 			}
+		}
+	}
+}
+
+// assertKeyable panics when a signature about to become a heap key has
+// a NaN cost or max arrival: ordKey has no place for NaN, and the
+// poison putScratch writes into released buffers is a NaN cost, so a
+// read through a slice whose scratch went back to the pool lands here.
+func assertKeyable(s *Sig) {
+	if math.IsNaN(s.Cost) || math.IsNaN(s.D[0]) {
+		panic(fmt.Sprintf(
+			"replassert: NaN heap key (cost %g, max arrival %g): stale read of a released scratch?",
+			s.Cost, s.D[0]))
+	}
+}
+
+// poisonScratch fills the solution buffers of a scratch about to go
+// back to the pool — the wavefront arena, the join combos and the
+// accepted lists — up to their capacity with a NaN-cost solution.
+func poisonScratch(sc *solverScratch) {
+	bad := Sig{Cost: math.NaN()}
+	for i := range MaxLex {
+		bad.D[i] = math.NaN()
+	}
+	items := sc.items[:cap(sc.items)]
+	for i := range items {
+		items[i] = queueItem{sol: solution{sig: bad}, vertex: -1}
+	}
+	for k := range sc.combos {
+		combos := sc.combos[k][:cap(sc.combos[k])]
+		for i := range combos {
+			combos[i] = combo{sig: bad, off: -1}
+		}
+	}
+	for v := range sc.acc {
+		list := sc.acc[v][:cap(sc.acc[v])]
+		for i := range list {
+			list[i] = solution{sig: bad}
 		}
 	}
 }

@@ -1,12 +1,49 @@
 package embed
 
-// heapKey is what the wavefront heap moves: the two leading heapLess
-// components plus the arena slot holding the full queueItem. Sifting
-// swaps 24-byte keys instead of 104-byte items; the Lex tail D[1..depth)
-// is read through ref only when cost and max arrival tie exactly.
+import (
+	"math"
+	"math/bits"
+)
+
+// heapKey is what the wavefront heap moves: order-preserving integer
+// images of the two leading heapLess components (hi of Cost, lo of
+// D[0]) plus the arena slot holding the full queueItem. Sifting swaps
+// 24-byte keys instead of 104-byte items, and compares (hi, lo) as one
+// unsigned 128-bit value; the Lex tail D[1..depth) is read through ref
+// only when both images tie exactly.
 type heapKey struct {
-	cost, d0 float64
-	ref      int32
+	hi, lo uint64
+	ref    int32
+}
+
+// ordKey maps a float64 to a uint64 whose unsigned order is the float
+// order: ordKey(a) < ordKey(b) iff a < b, and ordKey(a) == ordKey(b)
+// iff a == b. −0 folds onto +0 (they compare equal), then the
+// sign-magnitude bits become an offset binary: a set sign flips every
+// bit, a clear one sets the sign. NaN has no place in the order; the
+// replassert build checks that no key is ever made from one.
+func ordKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// keyOf builds the heap key for arena slot ref.
+func keyOf(s *Sig, ref int32) heapKey {
+	if assertEnabled {
+		assertKeyable(s)
+	}
+	return heapKey{hi: ordKey(s.Cost), lo: ordKey(s.D[0]), ref: ref}
+}
+
+// keyBorrow is 1 when (a.hi, a.lo) < (b.hi, b.lo) as a 128-bit
+// unsigned value, else 0: the borrow out of a − b.
+func keyBorrow(a, b *heapKey) uint64 {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return borrow
 }
 
 // waveHeap is a typed binary min-heap of heapKeys ordered by heapLess
@@ -33,8 +70,7 @@ func (h *waveHeap) init() {
 	h.keys = h.keys[:0]
 	h.free = h.free[:0]
 	for i := range h.items {
-		s := &h.items[i].sol.sig
-		h.keys = append(h.keys, heapKey{cost: s.Cost, d0: s.D[0], ref: int32(i)})
+		h.keys = append(h.keys, keyOf(&h.items[i].sol.sig, int32(i)))
 	}
 	n := len(h.keys)
 	for i := n/2 - 1; i >= 0; i-- {
@@ -60,8 +96,7 @@ func (h *waveHeap) release(ref int32) { h.free = append(h.free, ref) }
 
 // push enqueues the filled arena slot ref.
 func (h *waveHeap) push(ref int32) {
-	s := &h.items[ref].sol.sig
-	h.keys = append(h.keys, heapKey{cost: s.Cost, d0: s.D[0], ref: ref})
+	h.keys = append(h.keys, keyOf(&h.items[ref].sol.sig, ref))
 	h.siftUp(len(h.keys) - 1)
 }
 
@@ -81,15 +116,15 @@ func (h *waveHeap) pop() int32 {
 // less is heapLess over the referenced items: cost, then the
 // lexicographic arrival vector, whose first entry rides in the key.
 // Only an exact (cost, d0) tie in a Lex mode reads the arena.
-//
-//replint:floatcmp-helper
 func (h *waveHeap) less(a, b *heapKey) bool {
-	return a.cost < b.cost || a.cost == b.cost &&
-		(a.d0 < b.d0 || a.d0 == b.d0 && h.depth > 1 && h.tailLess(a.ref, b.ref))
+	if a.hi == b.hi && a.lo == b.lo {
+		return h.depth > 1 && h.tailLess(a.ref, b.ref)
+	}
+	return keyBorrow(a, b) != 0
 }
 
 // tailLess compares D[1..depth) of two arena items. It stays out of
-// line so that siftDown, which spells less out by hand, stays small.
+// line so that siftDown's loop stays small.
 //
 //replint:floatcmp-helper
 //go:noinline
@@ -121,10 +156,10 @@ func (h *waveHeap) siftUp(i int) {
 	keys[i] = x
 }
 
-// siftDown carries every pop, so its two comparisons are less inlined
-// by hand (the tail call keeps the compiler from inlining less).
-//
-//replint:floatcmp-helper
+// siftDown carries every pop, so both of its comparisons are less
+// spelled out by hand. The min-child select adds the borrow of
+// right − left to the left index, so it takes no branch; only an exact
+// key tie in a Lex mode falls back to the tail comparison.
 func (h *waveHeap) siftDown(i, n int) {
 	if n == 0 {
 		return
@@ -140,14 +175,20 @@ func (h *waveHeap) siftDown(i, n int) {
 		m := l
 		if r := l + 1; r < n {
 			a, b := &keys[r], &keys[l]
-			if a.cost < b.cost || a.cost == b.cost &&
-				(a.d0 < b.d0 || a.d0 == b.d0 && lex && h.tailLess(a.ref, b.ref)) {
-				m = r
+			if lex && a.hi == b.hi && a.lo == b.lo {
+				if h.tailLess(a.ref, b.ref) {
+					m = r
+				}
+			} else {
+				m += int(keyBorrow(a, b))
 			}
 		}
 		c := &keys[m]
-		if !(c.cost < x.cost || c.cost == x.cost &&
-			(c.d0 < x.d0 || c.d0 == x.d0 && lex && h.tailLess(c.ref, x.ref))) {
+		if lex && c.hi == x.hi && c.lo == x.lo {
+			if !h.tailLess(c.ref, x.ref) {
+				break
+			}
+		} else if keyBorrow(c, &x) == 0 {
 			break
 		}
 		keys[i] = *c

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -143,6 +144,51 @@ func TestWaveHeapMatchesReference(t *testing.T) {
 			if live := len(h.items) - len(h.free); live != len(h.keys) {
 				t.Fatalf("mode %+v seed %d: %d arena slots in use, %d keys live", m, seed, live, len(h.keys))
 			}
+		}
+	}
+}
+
+// ordSample draws a float64 for the ordKey property test: signed zeros,
+// infinities, subnormals, extremes and a small integer grid (so exact
+// ties are common), or an arbitrary non-NaN bit pattern.
+func ordSample(rng *rand.Rand) float64 {
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1030, // subnormal
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return special[rng.Intn(len(special))]
+	case 1:
+		return float64(rng.Intn(7) - 3)
+	}
+	for {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) {
+			return f
+		}
+	}
+}
+
+// TestOrdKeyPreservesOrder holds the integer heap keys to the float
+// order they replace: for every pair, ordKey's unsigned order and
+// equality answer exactly as the float comparisons do, and the 128-bit
+// borrow of keyBorrow answers as the (cost, d0) lexicographic order.
+func TestOrdKeyPreservesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		a, b := ordSample(rng), ordSample(rng)
+		ka, kb := ordKey(a), ordKey(b)
+		if (ka < kb) != (a < b) || (ka == kb) != (a == b) {
+			t.Fatalf("ordKey(%g)=%#x, ordKey(%g)=%#x disagree with the float order", a, ka, b, kb)
+		}
+		c, d := ordSample(rng), ordSample(rng)
+		x := heapKey{hi: ka, lo: ordKey(c)}
+		y := heapKey{hi: kb, lo: ordKey(d)}
+		want := a < b || a == b && c < d
+		if got := keyBorrow(&x, &y) == 1; got != want {
+			t.Fatalf("keyBorrow((%g,%g), (%g,%g)) = %v, want %v", a, c, b, d, got, want)
 		}
 	}
 }

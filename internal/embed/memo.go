@@ -233,7 +233,7 @@ func (c *Cache) Put(k Fingerprint, r *Result) {
 	c.gen++
 }
 
-/// Gen returns the cache's content generation: it advances on every
+// Gen returns the cache's content generation: it advances on every
 // admission or reset, so two observations with equal Gen saw an
 // identical retained set.
 func (c *Cache) Gen() uint64 { return c.gen }

@@ -175,9 +175,9 @@ func heapLess(m Mode, a, b *Sig) bool {
 	return lexLess(a, b, m.lexDepth())
 }
 
-// totalLess is a total order refining the dominance partial order: if a
-// dominates b and a != b in some dominance dimension, then
-// totalLess(a, b). The prune sweeps sort by it so a forward-only
+// totalCmp is a three-way total order refining the dominance partial
+// order: if a dominates b and a != b in some dominance dimension, then
+// totalCmp(a, b) < 0. The prune sweeps sort by it so a forward-only
 // dominance scan yields the canonical minimal antichain — under the
 // weaker heapLess sort, a kept entry could be dominated by a later one
 // whenever cost and arrival tie but Branch, Peak, TC or R differ. The
@@ -186,41 +186,50 @@ func heapLess(m Mode, a, b *Sig) bool {
 // never depends on input order.
 //
 //replint:floatcmp-helper
-func totalLess(m Mode, a, b *Sig) bool {
+func totalCmp(m Mode, a, b *Sig) int {
 	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
+		return lessSign(a.Cost < b.Cost)
 	}
 	depth := m.lexDepth()
 	for i := 0; i < depth; i++ {
 		if a.D[i] != b.D[i] {
-			return a.D[i] < b.D[i]
+			return lessSign(a.D[i] < b.D[i])
 		}
 	}
 	if m.MC && a.TC != b.TC {
-		return a.TC < b.TC
+		return lessSign(a.TC < b.TC)
 	}
 	if m.loadDependent() && a.R != b.R {
-		return a.R < b.R
+		return lessSign(a.R < b.R)
 	}
 	if a.Branch != b.Branch {
-		return a.Branch < b.Branch
+		return lessSign(a.Branch < b.Branch)
 	}
 	if a.Peak != b.Peak {
-		return a.Peak < b.Peak
+		return lessSign(a.Peak < b.Peak)
 	}
 	// Non-dominance tie-breaks: never reached for signatures of one
 	// tree node in practice (W is constant per node, TC/R are neutral
 	// outside their modes), but kept so the order is total regardless.
 	if a.TC != b.TC {
-		return a.TC < b.TC
+		return lessSign(a.TC < b.TC)
 	}
 	if a.R != b.R {
-		return a.R < b.R
+		return lessSign(a.R < b.R)
 	}
 	if a.W != b.W {
-		return a.W < b.W
+		return lessSign(a.W < b.W)
 	}
-	return false
+	return 0
+}
+
+// lessSign is −1 when the first of two unequal values is the smaller,
+// else +1.
+func lessSign(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // augmentInto writes into dst the signature s extended across edge e:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,10 +70,37 @@ type solution struct {
 
 // nodeSols holds the accepted non-dominated solution sets A[i][j] for
 // one tree node, plus the flattened child references of its join
-// solutions.
+// solutions. All of a node's accepted solutions sit in one exact-size
+// slab in vertex order; A[i][v] is sols[off[v]:off[v+1]].
 type nodeSols struct {
-	at       [][]solution
+	sols     []solution
+	off      []int32
 	joinPool []int32
+}
+
+// at returns A[i][v]. Every node is compacted before anything reads
+// it: a node that a cancellation skipped is never joined or extracted,
+// because the cancelled run stops and fails first.
+func (ns *nodeSols) at(v Vertex) []solution {
+	return ns.sols[ns.off[v]:ns.off[v+1]]
+}
+
+// compact copies the join pool and the accepted lists staged in the
+// scratch (sc.pool, and sc.acc for the first nv vertices) into the
+// node's exact-size tables and empties them, keeping their capacity
+// for the next node.
+func (ns *nodeSols) compact(sc *solverScratch, nv int) {
+	ns.joinPool = slices.Clone(sc.pool)
+	sc.pool = sc.pool[:0]
+	ns.sols = make([]solution, 0, sc.nacc)
+	ns.off = make([]int32, nv+1)
+	for v, list := range sc.acc[:nv] {
+		ns.off[v] = int32(len(ns.sols))
+		ns.sols = append(ns.sols, list...)
+		sc.acc[v] = list[:0]
+	}
+	ns.off[nv] = int32(len(ns.sols))
+	sc.nacc = 0
 }
 
 // Result is the outcome of Solve: the non-dominated cost/arrival
@@ -121,16 +149,24 @@ type FrontierSol struct {
 }
 
 // solverScratch bundles the reusable per-solve buffers: the wavefront
-// heap and its item arena, the double-buffered join fold (combo lists
-// plus the flat child-index arenas behind them), and the prune
-// staircase. It is pooled so repeated Solve calls inside the engine
-// loop stop churning the garbage collector.
+// heap and its item arena, the accepted lists of the node being
+// expanded, the double-buffered join fold (combo lists plus the flat
+// child-index arenas behind them), and the prune staircase. It is
+// pooled so repeated Solve calls inside the engine loop stop churning
+// the garbage collector.
 type solverScratch struct {
 	// items is the wavefront arena (seeded by the join, then recycled
 	// through free); keys is the heap over it.
-	items  []queueItem
-	keys   []heapKey
-	free   []int32
+	items []queueItem
+	keys  []heapKey
+	free  []int32
+	// acc[v] is A[id][v] while node id's wavefront runs, nacc the
+	// number of solutions across them, and pool the node's join child
+	// references; compact moves them into the node's tables and leaves
+	// them empty.
+	acc    [][]solution
+	nacc   int
+	pool   []int32
 	combos [2][]combo
 	arena  [2][]int32
 	// stairBranch / stairs are the branch-classed prune staircases:
@@ -142,8 +178,25 @@ type solverScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}
 
-func getScratch() *solverScratch   { return scratchPool.Get().(*solverScratch) }
-func putScratch(sc *solverScratch) { scratchPool.Put(sc) }
+func getScratch() *solverScratch { return scratchPool.Get().(*solverScratch) }
+
+// putScratch returns sc to the pool. The replassert build first fills
+// the scratch's solution buffers with NaN-cost poison, so a caller that
+// keeps reading a slice backed by a released scratch trips the key
+// assertions in waveHeap.
+func putScratch(sc *solverScratch) {
+	if assertEnabled {
+		poisonScratch(sc)
+	}
+	scratchPool.Put(sc)
+}
+
+// accFor sizes the accepted lists for an nv-vertex graph.
+func (sc *solverScratch) accFor(nv int) {
+	if n := len(sc.acc); n < nv {
+		sc.acc = append(sc.acc, make([][]solution, nv-n)...)
+	}
+}
 
 // Solve runs the embedding DP of Fig. 6 and returns the root tradeoff
 // curve sorted by increasing cost. With Parallelism > 1 independent
@@ -162,10 +215,6 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	r := &Result{p: p, ctx: ctx, sols: make([]nodeSols, len(p.T.Nodes))}
-	for i := range r.sols {
-		//replint:ignore hotalloc -- one-time per-node table setup before the DP starts, not per-pop work
-		r.sols[i].at = make([][]solution, p.G.NumVertices())
-	}
 	workers := p.workers()
 	if workers > 1 {
 		r.runLevels(workers)
@@ -196,11 +245,9 @@ func (r *Result) processNode(id NodeID, par int, sc *solverScratch) {
 		init := solution{sig: newLeafSig(r.p.Mode, n.Arr, n.Critical), kind: kindLeaf}
 		sc.items = append(sc.items[:0], queueItem{sol: init, vertex: n.Vertex})
 	case par > 1:
-		ns := &r.sols[id]
-		sc.items = r.joinParallel(id, &ns.joinPool, sc.items[:0], par)
+		sc.items = r.joinParallel(id, &sc.pool, sc.items[:0], par)
 	default:
-		ns := &r.sols[id]
-		sc.items = r.joinSpan(id, 0, r.p.G.NumVertices(), nil, &ns.joinPool, sc.items[:0], sc)
+		sc.items = r.joinSpan(id, 0, r.p.G.NumVertices(), nil, &sc.pool, sc.items[:0], sc)
 	}
 	r.runWavefront(id, sc)
 }
@@ -277,15 +324,19 @@ func (r *Result) finish(workers int) (*Result, error) {
 	var seeds []queueItem
 	switch {
 	case rootNode.Vertex >= 0:
-		seeds = r.joinSpan(p.T.Root, 0, 0, []Vertex{rootNode.Vertex}, &ns.joinPool, sc.items[:0], sc)
+		seeds = r.joinSpan(p.T.Root, 0, 0, []Vertex{rootNode.Vertex}, &sc.pool, sc.items[:0], sc)
 	case workers > 1:
-		seeds = r.joinParallel(p.T.Root, &ns.joinPool, sc.items[:0], workers)
+		seeds = r.joinParallel(p.T.Root, &sc.pool, sc.items[:0], workers)
 	default:
-		seeds = r.joinSpan(p.T.Root, 0, p.G.NumVertices(), nil, &ns.joinPool, sc.items[:0], sc)
+		seeds = r.joinSpan(p.T.Root, 0, p.G.NumVertices(), nil, &sc.pool, sc.items[:0], sc)
 	}
+	nv := p.G.NumVertices()
+	sc.accFor(nv)
 	for _, it := range seeds {
-		ns.at[it.vertex] = append(ns.at[it.vertex], it.sol)
+		sc.acc[it.vertex] = append(sc.acc[it.vertex], it.sol)
 	}
+	sc.nacc = len(seeds)
+	ns.compact(sc, nv)
 	sc.items = seeds[:0]
 	putScratch(sc)
 	if r.cancelled() {
@@ -295,27 +346,24 @@ func (r *Result) finish(workers int) (*Result, error) {
 	}
 
 	// Collect the global non-dominated frontier.
-	total := 0
-	for v := range ns.at {
-		total += len(ns.at[v])
-	}
-	all := make([]FrontierSol, 0, total)
-	for v := range ns.at {
-		for i := range ns.at[v] {
-			all = append(all, FrontierSol{Sig: ns.at[v][i].sig, Vertex: Vertex(v), idx: int32(i)})
+	all := make([]FrontierSol, 0, len(ns.sols))
+	for v := 0; v < nv; v++ {
+		list := ns.at(Vertex(v))
+		for i := range list {
+			all = append(all, FrontierSol{Sig: list[i].sig, Vertex: Vertex(v), idx: int32(i)})
 		}
 	}
 	if len(all) == 0 {
 		return nil, fmt.Errorf("embed: no feasible embedding (root unreachable from leaves)")
 	}
-	// Canonical frontier order: totalLess refines the dominance partial
+	// Canonical frontier order: totalCmp refines the dominance partial
 	// order, so the forward-only dominance scan below keeps exactly the
 	// minimal antichain (a dominating solution always sorts first). It
 	// is cost-major, preserving SelectByBound's cheapest-first contract,
 	// and breaks cost/arrival ties toward less gate stacking so that
 	// selection never picks an overlap the legalizer must undo.
-	sort.Slice(all, func(i, j int) bool {
-		return totalLess(p.Mode, &all[i].Sig, &all[j].Sig)
+	slices.SortFunc(all, func(a, b FrontierSol) int {
+		return totalCmp(p.Mode, &a.Sig, &b.Sig)
 	})
 	if rootNode.Vertex < 0 {
 		// Free root (FF relocation, Section V-D): the caller needs
@@ -403,8 +451,8 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 			}
 			ref := int32(len(*pool))
 			// Each caller passes a private pool/seed pair: join workers
-			// a stack-local shard, tree-node goroutines their own node's
-			// table. Shards merge after wg.Wait.
+			// a stack-local shard, tree-node goroutines their own
+			// scratch. Shards merge after wg.Wait.
 			*pool = append(*pool, arena[cb.off:cb.off+k]...)
 			seeds = append(seeds, queueItem{
 				sol:    solution{sig: sig, kind: kindJoin, joinRef: ref},
@@ -485,8 +533,8 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 	for ci := range outs {
 		base := int32(len(*pool))
 		// The merge runs after wg.Wait, and across the per-node
-		// wavefront goroutines each node folds into its own table
-		// (keyed by the goroutine's id parameter).
+		// wavefront goroutines each node folds into its own
+		// goroutine's scratch.
 		*pool = append(*pool, outs[ci].pool...)
 		for _, it := range outs[ci].seeds {
 			it.sol.joinRef += base
@@ -509,7 +557,7 @@ func (r *Result) foldVertex(id NodeID, v Vertex, sc *solverScratch) ([]combo, []
 	sc.combos[0] = sc.combos[0][:0]
 	sc.arena[0] = sc.arena[0][:0]
 	for ci, c := range children {
-		childSols := r.sols[c].at[v]
+		childSols := r.sols[c].at(v)
 		if len(childSols) == 0 {
 			return nil, nil, false
 		}
@@ -555,14 +603,14 @@ type stairStep struct {
 }
 
 // pruneCombos removes dominated combinations. The input is sorted by
-// totalLess — a total order refining dominance — so the forward-only
+// totalCmp — a total order refining dominance — so the forward-only
 // scans below yield the canonical minimal antichain regardless of input
 // order. For the common plain signature (LexDepth 1, linear delay, no
 // MC) the post-sort scan is a near-linear sweep over branch-classed
 // staircases; the general quadratic scan covers Lex-N, Lex-mc and
 // load-dependent modes.
 func pruneCombos(m Mode, in []combo, sc *solverScratch) []combo {
-	sort.Slice(in, func(i, j int) bool { return totalLess(m, &in[i].sig, &in[j].sig) })
+	slices.SortFunc(in, func(a, b combo) int { return totalCmp(m, &a.sig, &b.sig) })
 	if m.lexDepth() == 1 && !m.MC && !m.loadDependent() {
 		out := pruneCombos2D(in, sc)
 		if assertEnabled {
@@ -589,7 +637,7 @@ func pruneCombos(m Mode, in []combo, sc *solverScratch) []combo {
 	return out
 }
 
-// pruneCombos2D prunes totalLess-sorted combos under the plain-mode
+// pruneCombos2D prunes totalCmp-sorted combos under the plain-mode
 // dominance test (cost, arrival, branch, peak — cost ordering is given
 // by the sort, so dominance reduces to a query over the remaining
 // dimensions): a combo is dominated iff some kept combo has arrival,
@@ -678,14 +726,17 @@ type queueItem struct {
 // dominated by the already-accepted set at its vertex is itself
 // non-dominated and final.
 //
-// Children are built in place in their arena slots from the accepted
-// copy in A[id][v], which stays put while they are pushed (pushes grow
-// the arena, never the accepted list), so the popped slot is recycled
+// A[id][v] accumulates in the scratch lists sc.acc while the wavefront
+// runs and is compacted into the node's slab when it ends. Children are
+// built in place in their arena slots from the accepted copy in
+// sc.acc[v], which stays put while they are pushed (pushes grow the
+// arena, never the accepted list), so the popped slot is recycled
 // before its first child is allocated.
 func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 	p := r.p
 	m := p.Mode
-	ns := &r.sols[id]
+	nv := p.G.NumVertices()
+	sc.accFor(nv)
 	h := waveHeap{depth: m.lexDepth(), keys: sc.keys, items: sc.items, free: sc.free}
 	h.init()
 	var lastPop Sig
@@ -703,13 +754,13 @@ func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 			lastPop, havePop = it.sol.sig, true
 		}
 		v := it.vertex
-		accepted := r.accept(ns, v, &it.sol)
+		accepted := r.accept(sc, v, &it.sol)
 		h.release(ref)
 		if !accepted {
 			continue
 		}
-		idx := int32(len(ns.at[v]) - 1)
-		src := &ns.at[v][idx].sig
+		idx := int32(len(sc.acc[v]) - 1)
+		src := &sc.acc[v][idx].sig
 		adj := p.G.Adj(v)
 		for ei := range adj {
 			e := &adj[ei]
@@ -728,12 +779,14 @@ func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 		}
 	}
 	sc.items, sc.keys, sc.free = h.items[:0], h.keys[:0], h.free[:0]
+	r.sols[id].compact(sc, nv)
 }
 
-// accept appends the solution to A[id][v] unless dominated (line d7).
-// It enforces the per-vertex cap with the delay-quantum rule.
-func (r *Result) accept(ns *nodeSols, v Vertex, s *solution) bool {
-	list := ns.at[v]
+// accept appends the solution to A[id][v], staged in sc.acc[v], unless
+// dominated (line d7). It enforces the per-vertex cap with the
+// delay-quantum rule.
+func (r *Result) accept(sc *solverScratch, v Vertex, s *solution) bool {
+	list := sc.acc[v]
 	for i := range list {
 		if dominates(r.p.Mode, &list[i].sig, &s.sig) {
 			return false
@@ -755,14 +808,15 @@ func (r *Result) accept(ns *nodeSols, v Vertex, s *solution) bool {
 	if assertEnabled {
 		assertNoReverseDomination(r.p.Mode, list, &s.sig)
 	}
-	ns.at[v] = append(list, *s)
+	sc.acc[v] = append(list, *s)
+	sc.nacc++
 	return true
 }
 
 // SolutionsAt exposes the accepted signature set A[node][v]; used by
 // tests to check the DP against the paper's worked example.
 func (r *Result) SolutionsAt(node NodeID, v Vertex) []Sig {
-	list := r.sols[node].at[v]
+	list := r.sols[node].at(v)
 	out := make([]Sig, len(list))
 	for i := range list {
 		out[i] = list[i].sig
@@ -834,13 +888,13 @@ func (r *Result) extract(v Vertex, idx int32, node NodeID, emb *Embedding) {
 	// Walk the augment chain back to the branching point, recording
 	// the route (in consumption-to-branch order, reversed at the end).
 	route := []Vertex{v}
-	sol := ns.at[v][idx]
+	sol := ns.at(v)[idx]
 	//replint:ignore ctxstride -- reconstruction after the DP completes; bounded by the augment-chain length
 	for sol.kind == kindAugment {
 		pv, pi := sol.prevVertex, sol.prevIdx
 		route = append(route, pv)
 		v, idx = pv, pi
-		sol = ns.at[v][idx]
+		sol = ns.at(v)[idx]
 	}
 	for i, j := 0, len(route)-1; i < j; i, j = i+1, j-1 {
 		route[i], route[j] = route[j], route[i]

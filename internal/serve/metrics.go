@@ -99,17 +99,17 @@ type CounterSnapshot struct {
 // Counters snapshots the manager's counters.
 func (m *Manager) Counters() CounterSnapshot {
 	return CounterSnapshot{
-		JobsAccepted:      m.c.accepted.Load(),
-		JobsRejectedFull:  m.c.rejectedFull.Load(),
-		JobsRejectedDrain: m.c.rejectedDrain.Load(),
-		JobsCompleted:     m.c.completed.Load(),
-		JobsFailed:        m.c.failed.Load(),
-		JobsCancelled:     m.c.cancelled.Load(),
-		JobPanics:         m.c.panics.Load(),
-		WorkersBusy:       m.c.running.Load(),
-		Workers:           m.cfg.Workers,
-		QueueDepth:        m.QueueDepth(),
-		QueueCapacity:     m.cfg.QueueDepth,
+		JobsAccepted:         m.c.accepted.Load(),
+		JobsRejectedFull:     m.c.rejectedFull.Load(),
+		JobsRejectedDrain:    m.c.rejectedDrain.Load(),
+		JobsCompleted:        m.c.completed.Load(),
+		JobsFailed:           m.c.failed.Load(),
+		JobsCancelled:        m.c.cancelled.Load(),
+		JobPanics:            m.c.panics.Load(),
+		WorkersBusy:          m.c.running.Load(),
+		Workers:              m.cfg.Workers,
+		QueueDepth:           m.QueueDepth(),
+		QueueCapacity:        m.cfg.QueueDepth,
 		EngineSeconds:        m.c.engineSeconds.load(),
 		EmbedSeconds:         m.c.embedSeconds.load(),
 		STAUpdates:           m.c.staUpdates.Load(),

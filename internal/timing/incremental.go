@@ -78,10 +78,10 @@ type Incremental struct {
 	// them only while structGen is current, so every mutation must be
 	// followed by a structGen advance before returning (replint's
 	// stalegen rule enforces this).
-	lvl    []int32 //replint:guarded gen=structGen
+	lvl    []int32            //replint:guarded gen=structGen
 	levels [][]netlist.CellID //replint:guarded gen=structGen
-	sinks  []netlist.CellID //replint:guarded gen=structGen
-	live   int //replint:guarded gen=structGen
+	sinks  []netlist.CellID   //replint:guarded gen=structGen
+	live   int                //replint:guarded gen=structGen
 
 	// Snapshots of the last analyzed state, diffed on each call.
 	alive     []bool
@@ -384,7 +384,7 @@ func (inc *Incremental) diff(nl *netlist.Netlist, pl PlacedLocator) (*delta, err
 			structChanged = true
 			seedRegOrF(id)
 			seedB(id)
-			seedOldDrivers(i)   // lost a sink: their Down shrinks
+			seedOldDrivers(i)    // lost a sink: their Down shrinks
 			seedFaninDrivers(id) // gained a sink: their Down grows
 		}
 		moved := inc.placed[i] != pl.Placed(id) ||
