@@ -588,3 +588,62 @@ func TestClusterRacedSpecDedup(t *testing.T) {
 		t.Errorf("raced-spec cache hits = %d, want >= 2", hits)
 	}
 }
+
+// TestClusterConcurrentWatchers completes distinct jobs at once on one
+// node, so several (*Node).watch goroutines run together — the case
+// the race detector needs to see an unsynchronized write on the
+// watcher's path. Every result must still replicate to the store.
+func TestClusterConcurrentWatchers(t *testing.T) {
+	tc := startCluster(t, []string{"solo"}, nil)
+	// Four distinct specs submitted at once: the manager runs two at a
+	// time, and every pair of watchers is a chance for the detector to
+	// see two unordered writes.
+	specs := make([]serve.JobSpec, 4)
+	for i := range specs {
+		specs[i] = smallSpec()
+		specs[i].Seed = 71 + int64(i) // distinct hashes from other tests in the run
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec serve.JobSpec) {
+			defer wg.Done()
+			<-start
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			st, err := tc.client("solo").Run(ctx, spec, 20*time.Millisecond)
+			if err != nil {
+				t.Errorf("job %d: %v", i, err)
+				return
+			}
+			if st.State != serve.StateDone {
+				t.Errorf("job %d: state %s (%s)", i, st.State, st.Error)
+			}
+		}(i, spec)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := tc.nodes["solo"].Snapshot().Dedup.Executed; got != int64(len(specs)) {
+		t.Errorf("%d executions for %d distinct specs", got, len(specs))
+	}
+	for _, spec := range specs {
+		h, err := HashSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if rec, found, _ := tc.nodes["solo"].store.Get(h); found && rec.Version >= 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("record %s did not land in the store", h)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}

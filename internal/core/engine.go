@@ -224,10 +224,12 @@ type Engine struct {
 
 	// Incremental machinery (nil when Config.Incremental is off):
 	// the dirty-region STA engine, the SPT cache driven by its change
-	// generations, and the embedding-frontier cache.
+	// generations, the embedding-frontier cache and the per-node
+	// frontier memo behind it.
 	inc  *timing.Incremental
 	sptc *timing.SPTCache
 	emc  *embed.Cache
+	enm  *embed.NodeMemo
 
 	// ctx and phases are live only inside RunContext: the run's
 	// cancellation context and the Stats phase accumulator.
@@ -407,6 +409,7 @@ func (e *Engine) ensureIncremental() {
 	e.inc.MaxDirtyFrac = e.Config.IncrementalMaxDirtyFrac
 	e.sptc = timing.NewSPTCache(e.inc, 0)
 	e.emc = embed.NewCache(e.Config.FrontierCacheSize)
+	e.enm = embed.NewNodeMemo()
 }
 
 // harvestIncremental copies the incremental engine's counters into the
@@ -525,15 +528,19 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		ctx = context.Background()
 	}
 	stopEmbed := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Embed })
-	// Frontier memoization: if the extraction reproduced a problem
-	// whose canonical encoding (window, tree, cost inputs) matches a
-	// solved one bit for bit, the DP would recompute the identical
-	// frontier — reuse it instead. The solver is deterministic, so a
-	// hit is exact, not approximate; VerifyIncremental re-solves and
+	// Frontier memoization, two levels deep. If the extraction
+	// reproduced a problem whose canonical encoding (window, tree, cost
+	// inputs) matches a solved one bit for bit, the DP would recompute
+	// the identical frontier — reuse it instead. Otherwise the solve
+	// runs with the per-node memo, which serves every DP node whose
+	// subtree inputs repeat a node of the previous solve, or an earlier
+	// node of this one. The solver is deterministic, so both are exact,
+	// not approximate; VerifyIncremental re-solves without either and
 	// checks.
 	var res *embed.Result
 	var fp embed.Fingerprint
 	if e.Config.Incremental && e.emc != nil {
+		prob.Memo = e.enm
 		fp = e.embedFingerprint(g, ep, rootFree, prob.DelayQuantum)
 		if r, ok := e.emc.Get(fp); ok {
 			res = r
@@ -546,6 +553,10 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		}
 	}
 	if res == nil {
+		var hits int
+		if prob.Memo != nil {
+			hits = prob.Memo.Stats.Hits
+		}
 		res, err = prob.SolveContext(ctx)
 		if err != nil {
 			stopEmbed()
@@ -554,7 +565,13 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 			}
 			return false, nil // window infeasible; ε will grow
 		}
-		if e.Config.Incremental && e.emc != nil {
+		if prob.Memo != nil {
+			if e.Config.VerifyIncremental && prob.Memo.Stats.Hits > hits {
+				if err := e.verifyFrontier(ctx, prob, res); err != nil {
+					stopEmbed()
+					return false, err
+				}
+			}
 			e.emc.Put(fp, res)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/embed"
@@ -111,26 +112,46 @@ func sortedKeys[V any](m map[netlist.CellID]V) []netlist.CellID {
 	return keys
 }
 
-// verifyFrontier re-solves the freshly constructed problem and demands
-// the cached frontier match it point for point.
-func (e *Engine) verifyFrontier(ctx context.Context, prob *embed.Problem, cached *embed.Result) error {
-	fresh, err := prob.SolveContext(ctx)
+// verifyFrontier re-solves the freshly constructed problem without the
+// node memo and demands that the memoized result — a frontier-cache
+// hit, or a solve the node memo served in part — match it point for
+// point, and that every point extract to the same embedding.
+func (e *Engine) verifyFrontier(ctx context.Context, prob *embed.Problem, memo *embed.Result) error {
+	plain := *prob
+	plain.Memo = nil
+	fresh, err := plain.SolveContext(ctx)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		return fmt.Errorf("core: cached frontier hit but fresh solve infeasible: %w", err)
+		return fmt.Errorf("core: memoized frontier but fresh solve infeasible: %w", err)
 	}
-	if len(cached.Frontier) != len(fresh.Frontier) {
-		return fmt.Errorf("core: cached frontier has %d points, fresh %d", len(cached.Frontier), len(fresh.Frontier))
+	if len(memo.Frontier) != len(fresh.Frontier) {
+		return fmt.Errorf("core: memoized frontier has %d points, fresh %d", len(memo.Frontier), len(fresh.Frontier))
 	}
 	for i := range fresh.Frontier {
-		c, f := &cached.Frontier[i], &fresh.Frontier[i]
+		c, f := &memo.Frontier[i], &fresh.Frontier[i]
 		if c.Vertex != f.Vertex {
 			return fmt.Errorf("core: frontier[%d] vertex %d, fresh %d", i, c.Vertex, f.Vertex)
 		}
 		if err := sigEqual(c.Sig, f.Sig); err != nil {
 			return fmt.Errorf("core: frontier[%d] %w", i, err)
+		}
+		if err := embeddingEqual(memo.Extract(*c), fresh.Extract(*f)); err != nil {
+			return fmt.Errorf("core: frontier[%d] %w", i, err)
+		}
+	}
+	return nil
+}
+
+// embeddingEqual compares two extracted embeddings node by node.
+func embeddingEqual(a, b *embed.Embedding) error {
+	for i := range b.NodeVertex {
+		if a.NodeVertex[i] != b.NodeVertex[i] {
+			return fmt.Errorf("node %d at vertex %d vs %d", i, a.NodeVertex[i], b.NodeVertex[i])
+		}
+		if !slices.Equal(a.Routes[i], b.Routes[i]) {
+			return fmt.Errorf("node %d route %v vs %v", i, a.Routes[i], b.Routes[i])
 		}
 	}
 	return nil

@@ -109,7 +109,8 @@ func assertKeyable(s *Sig) {
 
 // poisonScratch fills the solution buffers of a scratch about to go
 // back to the pool — the wavefront arena, the join combos and the
-// accepted lists — up to their capacity with a NaN-cost solution.
+// accepted lists — up to their capacity with a NaN-cost solution, and
+// its placement-cost vector with NaN.
 func poisonScratch(sc *solverScratch) {
 	bad := Sig{Cost: math.NaN()}
 	for i := range MaxLex {
@@ -130,5 +131,9 @@ func poisonScratch(sc *solverScratch) {
 		for i := range list {
 			list[i] = solution{sig: bad}
 		}
+	}
+	place := sc.place[:cap(sc.place)]
+	for i := range place {
+		place[i] = math.NaN()
 	}
 }

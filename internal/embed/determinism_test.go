@@ -13,7 +13,7 @@ import (
 // leak into the output.
 
 // solveBoth solves the same problem serially and with the given worker
-// counts and checks full result equality.
+// counts and checks full result equality, bit for bit.
 func solveBoth(t *testing.T, name string, p *Problem, workerCounts ...int) {
 	t.Helper()
 	serial := *p
@@ -40,7 +40,7 @@ func resultsEqual(t *testing.T, name string, workers int, p *Problem, want, got 
 			name, workers, len(got.Frontier), len(want.Frontier))
 	}
 	for i := range want.Frontier {
-		if want.Frontier[i].Sig != got.Frontier[i].Sig ||
+		if !sameSig(&want.Frontier[i].Sig, &got.Frontier[i].Sig) ||
 			want.Frontier[i].Vertex != got.Frontier[i].Vertex {
 			t.Fatalf("%s[w=%d]: frontier[%d] = %+v, serial %+v",
 				name, workers, i, got.Frontier[i], want.Frontier[i])
@@ -57,7 +57,7 @@ func resultsEqual(t *testing.T, name string, workers int, p *Problem, want, got 
 					name, workers, id, v, len(gs), len(ws))
 			}
 			for k := range ws {
-				if ws[k] != gs[k] {
+				if !sameSig(&ws[k], &gs[k]) {
 					t.Fatalf("%s[w=%d]: A[%d][%d][%d] = %+v, serial %+v",
 						name, workers, id, v, k, gs[k], ws[k])
 				}
@@ -69,7 +69,7 @@ func resultsEqual(t *testing.T, name string, workers int, p *Problem, want, got 
 	for i := range want.Frontier {
 		we := want.Extract(want.Frontier[i])
 		ge := got.Extract(got.Frontier[i])
-		if we.WireCost != ge.WireCost {
+		if math.Float64bits(we.WireCost) != math.Float64bits(ge.WireCost) {
 			t.Fatalf("%s[w=%d]: extract[%d] wire %v, serial %v",
 				name, workers, i, ge.WireCost, we.WireCost)
 		}

@@ -5,6 +5,9 @@
 // produced a bitwise-identical problem (same subtree structure, window
 // geometry, and cost inputs) — the dominant regime in a converged
 // run's patience tail, where the dynamic program is pure recomputation.
+// Behind it, the per-node memo (NodeMemo, nodememo.go) keys single DP
+// nodes by their subtree's content with the same Hasher, so a solve
+// whose tree or ε changed still reuses every node whose inputs did not.
 //
 // The hash is an FNV-1a/128 variant evaluated inline (not hash/maphash, whose
 // per-process seed would make hit patterns nondeterministic): equal
@@ -150,8 +153,9 @@ type CacheStats struct {
 // fingerprint in a bounded doorkeeper set and retains nothing). During
 // active optimization every productive iteration mutates the netlist,
 // so fingerprints never repeat and the cache stays empty — retaining
-// frontiers there buys no hits while their pointer-rich solution
-// arrays inflate every GC cycle. In the converged patience tail the
+// frontiers there would buy no hits and only hold their solution slabs
+// live (solutions carry no pointers, so the cost is memory, not GC
+// scanning). In the converged patience tail the
 // same (ε, sink) extraction states recur, the second sighting admits,
 // and every sighting after that is a hit. Not safe for concurrent use;
 // each engine owns one.

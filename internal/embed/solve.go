@@ -17,8 +17,10 @@ type Problem struct {
 	Mode Mode
 	// PlaceCost returns p_ij, the cost of placing internal tree node i
 	// at vertex j (Section II-A). nil means zero everywhere. Return
-	// +Inf to forbid a location for one node. Must be safe for
-	// concurrent calls when Parallelism > 1.
+	// +Inf to forbid a location for one node. A solve calls it once per
+	// (node, unblocked vertex): for the non-root nodes up front on the
+	// calling goroutine, for the root from the root join. Must be safe
+	// for concurrent calls when Parallelism > 1.
 	PlaceCost func(node NodeID, v Vertex) float64
 	// Capacity returns the remaining capacity of the slot at v for the
 	// overlap-control scheme; nil means capacity 1 everywhere. Only
@@ -38,6 +40,10 @@ type Problem struct {
 	// (joins are sharded over vertex ranges and merged back in vertex
 	// order, and sibling subtrees are data-independent).
 	Parallelism int
+	// Memo, when non-nil, serves repeated DP nodes from earlier solves
+	// and from earlier in the same solve (see NodeMemo); the result is
+	// bit-identical to a solve without it.
+	Memo *NodeMemo
 }
 
 func (p *Problem) workers() int {
@@ -45,6 +51,14 @@ func (p *Problem) workers() int {
 		return 1
 	}
 	return p.Parallelism
+}
+
+// capacity is the overlap-control capacity of the slot at v.
+func (p *Problem) capacity(v Vertex) int {
+	if p.Capacity == nil {
+		return 1
+	}
+	return p.Capacity(v)
 }
 
 type solKind uint8
@@ -119,6 +133,13 @@ type Result struct {
 	// context's error.
 	ctx     context.Context
 	aborted atomic.Bool
+
+	// place is the per-solve vector of p_ij for the non-root internal
+	// nodes, node id's costs starting at placeOff[id] (-1 for leaves
+	// and the root). Both borrow the solving goroutine's scratch and are
+	// dropped when the solve returns.
+	place    []float64
+	placeOff []int
 }
 
 // ctxCheckStride amortizes ctx.Err polls over this many wavefront pops
@@ -174,6 +195,13 @@ type solverScratch struct {
 	// among the combos of one join (see pruneCombos2D).
 	stairBranch []int32
 	stairs      [][]stairStep
+	// place and placeOff back Result.place and Result.placeOff; nodeFP
+	// holds each node's memo key and dupOf the earlier node of the same
+	// solve a repeated node copies (-1 for none).
+	place    []float64
+	placeOff []int
+	nodeFP   []Fingerprint
+	dupOf    []NodeID
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}
@@ -215,20 +243,102 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	r := &Result{p: p, ctx: ctx, sols: make([]nodeSols, len(p.T.Nodes))}
+	order := p.T.PostOrder()
+	sc := getScratch()
+	defer putScratch(sc)
+	r.prepare(order, sc)
 	workers := p.workers()
 	if workers > 1 {
-		r.runLevels(workers)
+		r.runLevels(order, workers, sc)
 	} else {
-		sc := getScratch()
-		for _, id := range p.T.PostOrder() {
+		for _, id := range order {
 			if id == p.T.Root || r.cancelled() {
 				break // root is handled in finish; cancel abandons the DP
 			}
+			if !r.memoPending(id, sc) {
+				r.memoCopy(id, sc)
+				continue
+			}
 			r.processNode(id, 1, sc)
+			r.memoStore(id, sc)
 		}
-		putScratch(sc)
 	}
-	return r.finish(workers)
+	res, err := r.finish(workers, sc)
+	r.memoCommit()
+	r.place, r.placeOff = nil, nil
+	return res, err
+}
+
+// prepare runs before any node is computed. It evaluates p_ij once per
+// (non-root internal node, unblocked vertex) into the per-solve vector
+// joinSpan reads. With a memo it also keys every non-root node bottom-up
+// (the placement costs go into an internal node's key), looks each one
+// up, and then releases the memo's previous generation.
+func (r *Result) prepare(order []NodeID, sc *solverScratch) {
+	p := r.p
+	t := p.T
+	nv := p.G.NumVertices()
+	internal := 0
+	for i := range t.Nodes {
+		if NodeID(i) != t.Root && !t.Nodes[i].IsLeaf() {
+			internal++
+		}
+	}
+	sc.place = slices.Grow(sc.place[:0], internal*nv)[:internal*nv]
+	sc.placeOff = slices.Grow(sc.placeOff[:0], len(t.Nodes))[:len(t.Nodes)]
+	r.place, r.placeOff = sc.place, sc.placeOff
+	m := p.Memo
+	var base Hasher
+	if m != nil {
+		base = p.memoBase()
+		sc.nodeFP = slices.Grow(sc.nodeFP[:0], len(t.Nodes))[:len(t.Nodes)]
+		sc.dupOf = slices.Grow(sc.dupOf[:0], len(t.Nodes))[:len(t.Nodes)]
+	}
+	off := 0
+	for _, id := range order {
+		sc.placeOff[id] = -1
+		if id == t.Root {
+			continue
+		}
+		h := base
+		if m != nil {
+			r.memoNode(&h, id, sc)
+		}
+		if !t.Nodes[id].IsLeaf() {
+			sc.placeOff[id] = off
+			for v := range nv {
+				if p.G.Blocked(Vertex(v)) {
+					continue
+				}
+				pc := 0.0
+				if p.PlaceCost != nil {
+					pc = p.PlaceCost(id, Vertex(v))
+				}
+				sc.place[off+v] = pc
+				h.F64(pc)
+			}
+			off += nv
+		}
+		if m != nil {
+			sc.nodeFP[id] = h.Sum()
+			r.memoLookup(id, sc)
+		}
+	}
+	if m != nil {
+		m.memoRelease()
+	}
+}
+
+// placeCost returns p_ij: from the per-solve vector for a non-root
+// internal node, by a direct PlaceCost call for the root.
+func (r *Result) placeCost(id NodeID, v Vertex) float64 {
+	if off := r.placeOff[id]; off >= 0 {
+		return r.place[off+int(v)]
+	}
+	if r.p.PlaceCost == nil {
+		return 0
+	}
+	return r.p.PlaceCost(id, v)
 }
 
 // processNode computes one non-root node's accepted solution sets:
@@ -255,10 +365,14 @@ func (r *Result) processNode(id NodeID, par int, sc *solverScratch) {
 // runLevels processes the tree bottom-up in dependency levels: a node
 // is ready once all its children are done, so the nodes of one level
 // are data-independent and run concurrently. Levels with a single node
-// instead parallelize the join fan-out across vertices.
-func (r *Result) runLevels(workers int) {
+// instead parallelize the join fan-out across vertices. Only the
+// calling goroutine, whose scratch is sc, touches the memo: prepare
+// served its hits before the levels run, and each level's computed
+// nodes are stored, and its repeats copied, after the level's
+// wg.Wait. Nodes with equal keys have equal subtree heights, so a
+// repeat sits in the level of the node it copies.
+func (r *Result) runLevels(order []NodeID, workers int, sc *solverScratch) {
 	t := r.p.T
-	order := t.PostOrder()
 	depth := make([]int32, len(t.Nodes))
 	maxd := int32(0)
 	for _, id := range order {
@@ -281,16 +395,38 @@ func (r *Result) runLevels(workers int) {
 		levels[depth[id]] = append(levels[depth[id]], id)
 	}
 	sem := make(chan struct{}, workers)
+	var todo []NodeID
 	for _, nodes := range levels {
 		if r.cancelled() {
 			return // later levels would only consume abandoned inputs
 		}
-		if len(nodes) == 1 {
-			sc := getScratch()
-			r.processNode(nodes[0], workers, sc)
-			putScratch(sc)
-			continue
+		todo = todo[:0]
+		for _, id := range nodes {
+			if r.memoPending(id, sc) {
+				todo = append(todo, id)
+			}
 		}
+		r.runLevel(todo, workers, sem)
+		for _, id := range todo {
+			r.memoStore(id, sc)
+		}
+		for _, id := range nodes {
+			r.memoCopy(id, sc)
+		}
+	}
+}
+
+// runLevel computes the data-independent nodes of one level: a single
+// node shards its join over the workers, several run one goroutine
+// each under sem.
+func (r *Result) runLevel(nodes []NodeID, workers int, sem chan struct{}) {
+	switch len(nodes) {
+	case 0:
+	case 1:
+		sc := getScratch()
+		r.processNode(nodes[0], workers, sc)
+		putScratch(sc)
+	default:
 		var wg sync.WaitGroup
 		for _, id := range nodes {
 			wg.Add(1)
@@ -312,15 +448,15 @@ func (r *Result) runLevels(workers int) {
 // finish joins at the root (A[t][root] = A^b[t][root] — the sink
 // consumes the signal; no onward propagation) and assembles the global
 // non-dominated frontier. A fixed root joins at its vertex only; a
-// free root joins everywhere and the frontier spans all vertices.
-func (r *Result) finish(workers int) (*Result, error) {
+// free root joins everywhere and the frontier spans all vertices. sc is
+// the solving goroutine's scratch.
+func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 	if r.cancelled() {
 		return nil, r.ctx.Err()
 	}
 	p := r.p
 	rootNode := &p.T.Nodes[p.T.Root]
 	ns := &r.sols[p.T.Root]
-	sc := getScratch()
 	var seeds []queueItem
 	switch {
 	case rootNode.Vertex >= 0:
@@ -338,7 +474,6 @@ func (r *Result) finish(workers int) (*Result, error) {
 	sc.nacc = len(seeds)
 	ns.compact(sc, nv)
 	sc.items = seeds[:0]
-	putScratch(sc)
 	if r.cancelled() {
 		// The root join itself was cut short; its seed set may be
 		// partial, so the run fails rather than return a wrong curve.
@@ -426,10 +561,7 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 		if p.G.Blocked(v) {
 			return
 		}
-		pc := 0.0
-		if p.PlaceCost != nil {
-			pc = p.PlaceCost(id, v)
-		}
+		pc := r.placeCost(id, v)
 		if math.IsInf(pc, 1) {
 			return
 		}
@@ -440,14 +572,8 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 		for ci := range combos {
 			cb := &combos[ci]
 			sig := finishJoin(p.Mode, cb.sig, pc, n.Intrinsic)
-			if p.Mode.OverlapControl {
-				cap := 1
-				if p.Capacity != nil {
-					cap = p.Capacity(v)
-				}
-				if int(sig.Branch) > cap {
-					continue // would overfill the slot (Section II-A)
-				}
+			if p.Mode.OverlapControl && int(sig.Branch) > p.capacity(v) {
+				continue // would overfill the slot (Section II-A)
 			}
 			ref := int32(len(*pool))
 			// Each caller passes a private pool/seed pair: join workers
