@@ -94,6 +94,9 @@ type router struct {
 
 	w, h     int // tile grid dims: (N+2) x (N+2)
 	capacity int // per-tile tracks at the width being routed
+	// pinBound is the most distinct routed nets with a pin on one tile:
+	// no width below it can route feasibly (see maxTilePins).
+	pinBound int
 	occ      []int16
 	hist     []float64
 	presFac  float64
@@ -179,6 +182,7 @@ func newRouter(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.Del
 		r.netOff[i] = -1
 	}
 	r.orderNets()
+	r.pinBound = r.maxTilePins()
 	return r
 }
 
@@ -248,6 +252,40 @@ func (r *router) orderNets() {
 		})
 		r.nets[i] = nr
 	}
+}
+
+// maxTilePins returns the largest number of distinct routed nets with
+// a pin (the driver or a sink) on any one tile. It counts in occ, which
+// run clears before it routes, and marks a net's tiles with a fresh
+// tree stamp, so it needs no scratch of its own.
+//
+// No width below it routes feasibly. Every iteration of run routes
+// every net in full from a cleared occ; routeNet adds one to occ at the
+// driver tile and connect adds one at every tile it puts on the tree,
+// sinks included. So after every iteration occ[t] is at least the
+// number of nets pinned on t, updateCongestion finds that tile overused
+// on all MaxIters iterations at a smaller width, and run returns
+// infeasible.
+func (r *router) maxTilePins() int {
+	clear(r.occ)
+	most := 0
+	mark := func(t int32) {
+		if r.inTree[t] != r.treeStamp {
+			r.inTree[t] = r.treeStamp
+			r.occ[t]++
+			most = max(most, int(r.occ[t]))
+		}
+	}
+	for i := range r.nets {
+		nr := &r.nets[i]
+		r.treeStamp++
+		mark(nr.driver)
+		for _, c := range r.conns[nr.lo:nr.hi] {
+			mark(c.tile)
+		}
+	}
+	clear(r.occ)
+	return most
 }
 
 func (r *router) region(net *netlist.Net) (x0, y0, x1, y1 int) {
@@ -564,28 +602,34 @@ func MinChannelWidth(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm ar
 	return newRouter(nl, pl, f, dm, opt).minWidth(context.Background())
 }
 
-// minWidth is MinChannelWidth on r's state; each probe starts from
-// fresh congestion, exactly as a separate Route call would.
-func (r *router) minWidth(ctx context.Context) (int, error) {
+// maxProbeWidth is the widest channel the width search probes.
+const maxProbeWidth = 4096
+
+// searchWidth finds the smallest width probe reports feasible: it
+// probes 2, 4, 8, … up to maxProbeWidth until one is feasible, then
+// bisects between the last infeasible probe and it. Feasibility is not
+// guaranteed monotone in width, so the answer depends on this exact
+// probe sequence; keep it.
+func searchWidth(probe func(width int) (bool, error)) (int, error) {
 	lo, hi := 1, 2
 	// Exponential probe for an upper bound.
 	for {
-		feasible, _, err := r.run(ctx, hi)
+		feasible, err := probe(hi)
 		if err != nil {
 			return 0, err
 		}
 		if feasible {
 			break
 		}
-		lo = hi + 1
-		hi *= 2
-		if hi > 4096 {
+		if hi >= maxProbeWidth {
 			return 0, fmt.Errorf("route: no feasible width up to %d", hi)
 		}
+		lo = hi + 1
+		hi *= 2
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		feasible, _, err := r.run(ctx, mid)
+		feasible, err := probe(mid)
 		if err != nil {
 			return 0, err
 		}
@@ -598,6 +642,24 @@ func (r *router) minWidth(ctx context.Context) (int, error) {
 	return lo, nil
 }
 
+// minWidth is MinChannelWidth on r's state; each probe starts from
+// fresh congestion, exactly as a separate Route call would.
+func (r *router) minWidth(ctx context.Context) (int, error) {
+	return searchWidth(func(width int) (bool, error) { return r.probe(ctx, width) })
+}
+
+// probe reports whether width routes feasibly. A width below pinBound
+// cannot, so it answers false without routing and without touching the
+// router's state; run starts every width from fresh congestion, so the
+// skip changes no later probe. It still polls ctx once, as run would.
+func (r *router) probe(ctx context.Context, width int) (bool, error) {
+	if width < r.pinBound {
+		return false, ctx.Err()
+	}
+	feasible, _, err := r.run(ctx, width)
+	return feasible, err
+}
+
 // LowStress routes with 20% more tracks than the minimum, the paper's
 // W_ls regime. It returns the result and the width used.
 func LowStress(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (*Result, int, error) {
@@ -605,9 +667,9 @@ func LowStress(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.Del
 }
 
 // LowStressContext is LowStress under cooperative cancellation: the
-// width search and the final route poll ctx before every rip-up
-// iteration (so also before every probed width) and return ctx.Err()
-// with no result. An uncancelled run is bit-identical to LowStress.
+// width search and the final route poll ctx before every probed width
+// and every rip-up iteration and return ctx.Err() with no result. An
+// uncancelled run is bit-identical to LowStress.
 func LowStressContext(ctx context.Context, nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) (*Result, int, error) {
 	r := newRouter(nl, pl, f, dm, opt)
 	wmin, err := r.minWidth(ctx)

@@ -416,6 +416,24 @@ func TestLowStressContext(t *testing.T) {
 	if mid.polls != mid.after+1 {
 		t.Errorf("search went on for %d polls after cancellation", mid.polls-mid.after-1)
 	}
+	// Cancelled at the first poll: that poll is the skipped probe of
+	// width 2, below the pin bound, and the search stops there.
+	r := newRouter(n, pl, f, dm(), Defaults())
+	if r.pinBound <= 2 {
+		t.Fatalf("pin bound %d: width 2 is no longer a skipped probe on this fixture", r.pinBound)
+	}
+	first := &pollCtx{Context: context.Background()}
+	if _, err := r.probe(first, 2); !errors.Is(err, context.Canceled) || first.polls != 1 {
+		t.Errorf("skipped probe under a cancelled context: err %v after %d polls, want context.Canceled after 1", err, first.polls)
+	}
+	first = &pollCtx{Context: context.Background()}
+	res, w, err = LowStressContext(first, n, pl, f, dm(), Defaults())
+	if !errors.Is(err, context.Canceled) || res != nil || w != 0 {
+		t.Errorf("cancelled at the first poll: (%v, %d, %v), want (nil, 0, context.Canceled)", res, w, err)
+	}
+	if first.polls != 1 {
+		t.Errorf("cancelled at the first poll, yet polled %d times", first.polls)
+	}
 	// Cancelled before the call: no routing at all.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
