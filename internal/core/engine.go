@@ -536,7 +536,9 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	// subtree inputs repeat a node of the previous solve, or an earlier
 	// node of this one. The solver is deterministic, so both are exact,
 	// not approximate; VerifyIncremental re-solves without either and
-	// checks.
+	// checks. The memo recycles node sets at its next solve, so res is
+	// read only within this iteration, and the cache keeps a frozen
+	// copy (frontier plus extracted embeddings), not res itself.
 	var res *embed.Result
 	var fp embed.Fingerprint
 	if e.Config.Incremental && e.emc != nil {

@@ -43,3 +43,44 @@ func TestSolveAllocsPerNode(t *testing.T) {
 	}
 	t.Logf("%.0f allocs per Solve: %d nodes, %d accepted solutions", allocs, nodes, accepted)
 }
+
+// TestNodeMemoReusesSlabs alternates one warm memo between two problems
+// that share no node (their leaf arrivals differ), so every solve
+// computes every node it does not repeat within itself and releases
+// every node of the solve before. The released tables must serve the
+// misses: a warm alternation allocates a fixed handful per solve (the
+// Result, its frontier, the root's tables), not two or three tables per
+// computed node as a memo without the slab pool does.
+func TestNodeMemoReusesSlabs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := randomProblem(3, 8, 8, 24, Mode{LexDepth: 1}, false)
+	b := *a
+	b.T = cloneTree(a.T)
+	for i := range b.T.Nodes {
+		b.T.Nodes[i].Arr += 0.25
+	}
+	memo := NewNodeMemo()
+	a.Memo, b.Memo = memo, memo
+	alternate := func() {
+		for _, p := range []*Problem{a, &b} {
+			if _, err := p.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alternate()
+	before := memo.Stats
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, alternate)
+	// AllocsPerRun makes one warm-up call before the counted runs.
+	misses := (memo.Stats.Misses - before.Misses) / (runs + 1)
+	bound := misses / 2
+	if bound < 16 {
+		t.Fatalf("instance too small to tell: %d computed nodes per alternation", misses)
+	}
+	if allocs > float64(bound) {
+		t.Fatalf("warm alternation: %.0f allocs for %d computed nodes, want <= %d",
+			allocs, misses, bound)
+	}
+	t.Logf("%.0f allocs per alternation of two solves, %d computed nodes", allocs, misses)
+}

@@ -15,3 +15,4 @@ func assertNoReverseDomination(Mode, []solution, *Sig) {}
 func assertFrontier(Mode, []FrontierSol, bool)         {}
 func assertKeyable(*Sig)                               {}
 func poisonScratch(*solverScratch)                     {}
+func poisonSlab([]solution)                            {}

@@ -97,14 +97,24 @@ func assertFrontier(m Mode, frontier []FrontierSol, crossVertex bool) {
 
 // assertKeyable panics when a signature about to become a heap key has
 // a NaN cost or max arrival: ordKey has no place for NaN, and the
-// poison putScratch writes into released buffers is a NaN cost, so a
-// read through a slice whose scratch went back to the pool lands here.
+// poison putScratch and the slab pool write into released buffers is a
+// NaN cost, so a read through a slice whose scratch went back to the
+// pool, or of a node set the memo released, lands here.
 func assertKeyable(s *Sig) {
 	if math.IsNaN(s.Cost) || math.IsNaN(s.D[0]) {
 		panic(fmt.Sprintf(
-			"replassert: NaN heap key (cost %g, max arrival %g): stale read of a released scratch?",
+			"replassert: NaN heap key (cost %g, max arrival %g): stale read of a released scratch or memo slab?",
 			s.Cost, s.D[0]))
 	}
+}
+
+// poisonSig is the NaN-cost signature the poisoning writes.
+func poisonSig() Sig {
+	bad := Sig{Cost: math.NaN()}
+	for i := range MaxLex {
+		bad.D[i] = math.NaN()
+	}
+	return bad
 }
 
 // poisonScratch fills the solution buffers of a scratch about to go
@@ -112,10 +122,7 @@ func assertKeyable(s *Sig) {
 // accepted lists — up to their capacity with a NaN-cost solution, and
 // its placement-cost vector with NaN.
 func poisonScratch(sc *solverScratch) {
-	bad := Sig{Cost: math.NaN()}
-	for i := range MaxLex {
-		bad.D[i] = math.NaN()
-	}
+	bad := poisonSig()
 	items := sc.items[:cap(sc.items)]
 	for i := range items {
 		items[i] = queueItem{sol: solution{sig: bad}, vertex: -1}
@@ -127,13 +134,19 @@ func poisonScratch(sc *solverScratch) {
 		}
 	}
 	for v := range sc.acc {
-		list := sc.acc[v][:cap(sc.acc[v])]
-		for i := range list {
-			list[i] = solution{sig: bad}
-		}
+		poisonSlab(sc.acc[v][:cap(sc.acc[v])])
 	}
 	place := sc.place[:cap(sc.place)]
 	for i := range place {
 		place[i] = math.NaN()
+	}
+}
+
+// poisonSlab fills a solution slab the memo's slab pool takes back, or
+// an accepted list of a released scratch, with a NaN-cost solution.
+func poisonSlab(sols []solution) {
+	bad := poisonSig()
+	for i := range sols {
+		sols[i] = solution{sig: bad}
 	}
 }

@@ -2,7 +2,11 @@
 
 package embed
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // These tests run only under -tags replassert and prove the invariant
 // layer actually fires: each one feeds an assertion a state that
@@ -104,4 +108,54 @@ func TestSolveUnderAssertions(t *testing.T) {
 		p := randomProblem(seed, 4, 4, 3, Mode{}, false)
 		solveBoth(t, "replassert-random", p, 2, 4)
 	}
+}
+
+// TestStaleMemoResultTrips reads a memoized Result after its memo's
+// next solve. That solve shares no node with the first, so it releases
+// all of the first solve's nodes into the slab pool, which poisons
+// them, and its own nodes are too small to take them back. Re-joining a
+// gate of the stale Result over its released children must then trip
+// the heap-key assertion instead of expanding garbage.
+func TestStaleMemoResultTrips(t *testing.T) {
+	memo := NewNodeMemo()
+	first := randomProblem(5, 6, 6, 4, Mode{LexDepth: 1}, false)
+	first.Memo = memo
+	stale, err := first.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := randomProblem(6, 2, 2, 1, Mode{LexDepth: 1}, false)
+	next.Memo = memo
+	if _, err := next.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	tr := first.T
+	gate := NodeID(-1)
+	for i := range tr.Nodes {
+		if NodeID(i) != tr.Root && !tr.Nodes[i].IsLeaf() {
+			gate = NodeID(i)
+			break
+		}
+	}
+	if gate < 0 {
+		t.Fatal("first tree has no non-root gate")
+	}
+	for _, c := range tr.Nodes[gate].Children {
+		if sols := stale.sols[c].sols; len(sols) == 0 || !math.IsNaN(sols[0].sig.Cost) {
+			t.Fatalf("child %d's set is not poisoned: the next solve reused it", c)
+		}
+	}
+	// The solve dropped its per-solve placement vector; look the costs
+	// up directly.
+	stale.placeOff = make([]int, len(tr.Nodes))
+	for i := range stale.placeOff {
+		stale.placeOff[i] = -1
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NaN heap key") {
+			t.Fatalf("re-joining a stale gate: recovered %q, want the heap-key assertion", msg)
+		}
+	}()
+	stale.processNode(gate, 1, getScratch())
 }

@@ -144,21 +144,23 @@ type CacheStats struct {
 // Cache is a bounded map from problem fingerprints to solved Results.
 // Eviction is FIFO over insertion order — deterministic, never driven
 // by map iteration — so identical runs hit and miss identically.
-// Cached Results keep their solution arenas alive, so a hit costs two
-// map operations and no allocation: this is the storage that keeps the
-// steady-state engine loop off the allocator.
+// Entries are frozen (Result.freeze): each keeps the frontier and the
+// embedding of every frontier point, extracted on admission, but no
+// node sets and no Problem. A hit therefore costs two map operations
+// and one embedding copy per Extract, an entry costs a few small slices
+// per frontier point instead of the DP's solution slabs, and an entry
+// stays valid after the node memo recycles the slabs of the solve it
+// came from.
 //
 // Admission is two-touch: a Result is only retained once its
 // fingerprint has been offered before (the first offer records the
 // fingerprint in a bounded doorkeeper set and retains nothing). During
 // active optimization every productive iteration mutates the netlist,
-// so fingerprints never repeat and the cache stays empty — retaining
-// frontiers there would buy no hits and only hold their solution slabs
-// live (solutions carry no pointers, so the cost is memory, not GC
-// scanning). In the converged patience tail the
-// same (ε, sink) extraction states recur, the second sighting admits,
-// and every sighting after that is a hit. Not safe for concurrent use;
-// each engine owns one.
+// so fingerprints never repeat and the cache stays empty — freezing
+// frontiers there would buy no hits and only cost their extraction. In
+// the converged patience tail the same (ε, sink) extraction states
+// recur, the second sighting admits, and every sighting after that is
+// a hit. Not safe for concurrent use; each engine owns one.
 type Cache struct {
 	cap int
 	// The retained-Result map and its FIFO order are generation-guarded:
@@ -212,8 +214,8 @@ func (c *Cache) Get(k Fingerprint) (*Result, bool) {
 }
 
 // Put offers r under k. A first-time fingerprint is only recorded in
-// the doorkeeper; a repeat admits the Result, evicting the oldest
-// retained entry at capacity.
+// the doorkeeper; a repeat admits a frozen copy of the Result, evicting
+// the oldest retained entry at capacity. r itself is not retained.
 func (c *Cache) Put(k Fingerprint, r *Result) {
 	if _, ok := c.m[k]; ok {
 		return // first insertion wins; the Result is identical anyway
@@ -232,7 +234,7 @@ func (c *Cache) Put(k Fingerprint, r *Result) {
 		c.fifo = c.fifo[1:]
 		delete(c.m, victim)
 	}
-	c.m[k] = r
+	c.m[k] = r.freeze()
 	c.fifo = append(c.fifo, k)
 	c.gen++
 }

@@ -1,6 +1,11 @@
 package embed
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+)
 
 // TestCacheGen pins the generation-counter contract the stalegen
 // annotations promise: Gen advances exactly when the retained set (m,
@@ -54,4 +59,80 @@ func TestCacheGen(t *testing.T) {
 	if _, ok := c.Get(fp(3)); ok {
 		t.Error("Reset left an entry retrievable")
 	}
+}
+
+// TestCacheFrozenEntry admits a memoized Result from every memo family
+// and checks that the cache keeps a frozen copy: the same frontier and,
+// for every point, the same extraction, Float64bits-equal, with no node
+// sets or Problem behind it. The entry must still read the same after
+// the memo's next solve has recycled the live Result's node sets, and
+// an Extract the caller modifies must not change the entry.
+func TestCacheFrozenEntry(t *testing.T) {
+	fp := Fingerprint{Hi: 1, Lo: 2}
+	for _, mc := range memoCases() {
+		p := mc.prob()
+		p.Memo = NewNodeMemo()
+		live, err := p.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", mc.name, err)
+		}
+		want := make([]*Embedding, len(live.Frontier))
+		for i := range live.Frontier {
+			want[i] = live.Extract(live.Frontier[i])
+		}
+		c := NewCache(2)
+		c.Put(fp, live)
+		c.Put(fp, live)
+		got, ok := c.Get(fp)
+		if !ok {
+			t.Fatalf("%s: second Put did not admit", mc.name)
+		}
+		if got == live || got.sols != nil || got.p != nil {
+			t.Fatalf("%s: cache entry is not frozen (live %v, sols %d, problem %v)",
+				mc.name, got == live, len(got.sols), got.p != nil)
+		}
+		check := func(when string) {
+			t.Helper()
+			if len(got.Frontier) != len(want) {
+				t.Fatalf("%s %s: frozen frontier has %d points, live %d", mc.name, when, len(got.Frontier), len(want))
+			}
+			for i := range want {
+				if !sameSig(&got.Frontier[i].Sig, &live.Frontier[i].Sig) || got.Frontier[i].Vertex != live.Frontier[i].Vertex {
+					t.Fatalf("%s %s: frozen frontier[%d] = %+v, live %+v", mc.name, when, i, got.Frontier[i], live.Frontier[i])
+				}
+				if err := sameEmbedding(want[i], got.Extract(got.Frontier[i])); err != nil {
+					t.Fatalf("%s %s: frozen extract[%d]: %v", mc.name, when, i, err)
+				}
+			}
+		}
+		check("after admission")
+		scribble := got.Extract(got.Frontier[0])
+		scribble.NodeVertex[0] = -7
+		scribble.Routes[0][0] = -7
+		other := *p
+		other.T = cloneTree(p.T)
+		for i := range other.T.Nodes {
+			other.T.Nodes[i].Arr += 0.5
+		}
+		if _, err := other.Solve(); err != nil {
+			t.Fatalf("%s: next solve: %v", mc.name, err)
+		}
+		check("after the memo's next solve")
+	}
+}
+
+// sameEmbedding compares two embeddings bit for bit.
+func sameEmbedding(want, got *Embedding) error {
+	if math.Float64bits(want.WireCost) != math.Float64bits(got.WireCost) {
+		return fmt.Errorf("wire cost %v, want %v", got.WireCost, want.WireCost)
+	}
+	for i := range want.NodeVertex {
+		if got.NodeVertex[i] != want.NodeVertex[i] {
+			return fmt.Errorf("node %d at %d, want %d", i, got.NodeVertex[i], want.NodeVertex[i])
+		}
+		if !slices.Equal(got.Routes[i], want.Routes[i]) {
+			return fmt.Errorf("node %d route %v, want %v", i, got.Routes[i], want.Routes[i])
+		}
+	}
+	return nil
 }

@@ -11,20 +11,37 @@ package embed
 // arrival, intrinsic delay, critical flag), its children's keys in
 // order and, for an internal node, its placement cost at every
 // unblocked vertex. Stored sets hold only node-relative indices, so a
-// hit is shared read-only under any NodeID and by any Result.
+// hit is shared read-only under any NodeID and by every Result that
+// reads it while the memo keeps it.
 //
 // The memo holds exactly the nodes of the last completed solve. A
 // solve looks every node up before it computes any, moves the hits
-// into the current generation and drops the previous generation before
-// the first miss is computed, so peak live memory stays about one tree.
-// Repeats inside one solve are computed once. A cancelled solve
-// empties the memo, and a node cut short is never stored. Not safe for
-// concurrent use; each engine owns one.
+// into the current generation and releases the rest of the previous
+// generation before the first miss is computed: their solution slabs,
+// offset tables and join pools go into the memo's slab pool, and this
+// solve's misses are compacted into them (see slabPool). Peak live
+// memory stays about two generations: the memo's and a pool no larger
+// than the largest one. Repeats inside one solve are computed once. A
+// cancelled solve empties the memo, and a node cut short is never
+// stored. Not safe for concurrent use; each engine owns one.
+//
+// Because released slabs are reused, a Result solved with a memo is
+// valid only until that memo's next solve: its node sets may by then
+// hold another problem's solutions. A caller that keeps a frontier
+// longer keeps a frozen copy (see Cache).
 type NodeMemo struct {
 	last, next map[Fingerprint]nodeSols
+	// lastKeys and nextKeys list each generation's keys in the order
+	// they entered it, so a release walks the generation in a fixed
+	// order.
+	lastKeys, nextKeys []Fingerprint
 	// first maps each key this solve will compute to its first node,
 	// so a later node with that key copies the first's sets.
 	first map[Fingerprint]NodeID
+	// slabs holds released tables for this solve's misses; dropped
+	// stages a release.
+	slabs   slabPool
+	dropped []nodeSols
 	// Stats counts nodes served from the memo (Hits) and nodes
 	// computed (Misses).
 	Stats CacheStats
@@ -85,6 +102,7 @@ func (r *Result) memoLookup(id NodeID, sc *solverScratch) {
 	if ns, ok := m.last[k]; ok {
 		r.sols[id] = ns
 		m.next[k] = ns
+		m.nextKeys = append(m.nextKeys, k)
 		m.Stats.Hits++
 		return
 	}
@@ -97,11 +115,33 @@ func (r *Result) memoLookup(id NodeID, sc *solverScratch) {
 	m.Stats.Misses++
 }
 
-// memoRelease drops the previous generation once every node is looked
-// up, before the first miss is computed.
+// memoRelease runs once every node is looked up, before the first miss
+// is computed: the previous generation's nodes that no lookup hit go
+// into the slab pool, and the generation is dropped.
 func (m *NodeMemo) memoRelease() {
+	var gen slabCaps
+	for _, k := range m.lastKeys {
+		ns := m.last[k]
+		gen.add(ns)
+		if _, hit := m.next[k]; !hit {
+			m.dropped = append(m.dropped, ns)
+		}
+	}
+	m.slabs.refill(gen, m.dropped)
+	clear(m.dropped)
+	m.dropped = m.dropped[:0]
 	clear(m.last)
+	m.lastKeys = m.lastKeys[:0]
 	clear(m.first)
+}
+
+// memoSlabs is the pool node id's tables are taken from: the memo's,
+// or nil (fresh allocations) without a memo.
+func (r *Result) memoSlabs() *slabPool {
+	if m := r.p.Memo; m != nil {
+		return &m.slabs
+	}
+	return nil
 }
 
 // memoPending reports whether node id must be computed: it has no
@@ -123,7 +163,9 @@ func (r *Result) memoCopy(id NodeID, sc *solverScratch) {
 // cancellation may have cut it short.
 func (r *Result) memoStore(id NodeID, sc *solverScratch) {
 	if m := r.p.Memo; m != nil && !r.aborted.Load() {
-		m.next[sc.nodeFP[id]] = r.sols[id]
+		k := sc.nodeFP[id]
+		m.next[k] = r.sols[id]
+		m.nextKeys = append(m.nextKeys, k)
 	}
 }
 
@@ -136,7 +178,9 @@ func (r *Result) memoCommit() {
 	}
 	if r.aborted.Load() {
 		clear(m.next)
+		m.nextKeys = m.nextKeys[:0]
 		return
 	}
 	m.last, m.next = m.next, m.last
+	m.lastKeys, m.nextKeys = m.nextKeys, m.lastKeys
 }

@@ -3,8 +3,8 @@ package embed
 import (
 	"context"
 	"errors"
-	"maps"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -187,7 +187,7 @@ func duplicateSubtree(base *Problem) *Problem {
 }
 
 // TestNodeMemoEquivalence solves each family's sequence through one
-// memo, serially and with four workers, and checks every solve against
+// memo, serially and with two and four workers, and checks every solve against
 // a solve without a memo: the frontier, every node's accepted set at
 // every vertex, and the extraction of every frontier point, bit for
 // bit.
@@ -201,7 +201,7 @@ func TestNodeMemoEquivalence(t *testing.T) {
 				t.Fatalf("%s step %d: plain solve: %v", mc.name, step, err)
 			}
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			memo := NewNodeMemo()
 			for step, p := range seq {
 				memoized := *p
@@ -256,10 +256,10 @@ func TestNodeMemoCancel(t *testing.T) {
 		if cut > 10000 {
 			t.Fatal("solve still cancelled after 10000 polls")
 		}
-		// Each cut starts from the warmed memo; stored sets are
-		// read-only, so a shallow copy of its maps is a faithful one.
-		memo := NewNodeMemo()
-		maps.Copy(memo.last, warm.Memo.last)
+		// Each cut starts from a copy of the warmed memo with sets of
+		// its own: the memo recycles the sets it releases, so two memos
+		// sharing them would overwrite each other's.
+		memo := cloneMemo(warm.Memo)
 		par := next
 		par.Memo = memo
 		par.Parallelism = 4
@@ -285,6 +285,18 @@ func TestNodeMemoCancel(t *testing.T) {
 	}
 }
 
+// cloneMemo copies m's previous generation into a new memo, each node's
+// tables copied too.
+func cloneMemo(m *NodeMemo) *NodeMemo {
+	c := NewNodeMemo()
+	for _, k := range m.lastKeys {
+		ns := m.last[k]
+		c.last[k] = nodeSols{sols: slices.Clone(ns.sols), off: slices.Clone(ns.off), joinPool: slices.Clone(ns.joinPool)}
+		c.lastKeys = append(c.lastKeys, k)
+	}
+	return c
+}
+
 // sameSig compares two signatures bit for bit.
 func sameSig(a, b *Sig) bool {
 	bits := math.Float64bits
@@ -297,4 +309,28 @@ func sameSig(a, b *Sig) bool {
 		}
 	}
 	return a.W == b.W && a.Branch == b.Branch && a.Peak == b.Peak
+}
+
+// TestSlabClassBound pins the slab pool's size classes: a request's
+// class holds it, wastes less than a quarter of it, and is the class a
+// slab of exactly that class size returns to, so a returned slab is
+// served again to every request of its class.
+func TestSlabClassBound(t *testing.T) {
+	prev := -1
+	for n := 0; n <= 1<<16; n++ {
+		class, size := slabClass(n)
+		if size < n || (n > 4 && 4*size >= 5*n) {
+			t.Fatalf("request %d: class size %d, want in [n, 1.25n)", n, size)
+		}
+		if class != prev && class != prev+1 {
+			t.Fatalf("request %d: class %d after %d, want classes in order without gaps", n, class, prev)
+		}
+		prev = class
+		if got := floorClass(size); got != class {
+			t.Fatalf("a slab of capacity %d returns to class %d, want %d", size, got, class)
+		}
+		if got := floorClass(n); classSize(got) > n {
+			t.Fatalf("a slab of capacity %d returns to class %d of size %d", n, got, classSize(got))
+		}
+	}
 }

@@ -42,7 +42,9 @@ type Problem struct {
 	Parallelism int
 	// Memo, when non-nil, serves repeated DP nodes from earlier solves
 	// and from earlier in the same solve (see NodeMemo); the result is
-	// bit-identical to a solve without it.
+	// bit-identical to a solve without it. The memo recycles the node
+	// sets it releases, so the Result is valid only until the memo's
+	// next solve.
 	Memo *NodeMemo
 }
 
@@ -84,8 +86,8 @@ type solution struct {
 
 // nodeSols holds the accepted non-dominated solution sets A[i][j] for
 // one tree node, plus the flattened child references of its join
-// solutions. All of a node's accepted solutions sit in one exact-size
-// slab in vertex order; A[i][v] is sols[off[v]:off[v+1]].
+// solutions. All of a node's accepted solutions sit in one slab in
+// vertex order; A[i][v] is sols[off[v]:off[v+1]].
 type nodeSols struct {
 	sols     []solution
 	off      []int32
@@ -101,13 +103,12 @@ func (ns *nodeSols) at(v Vertex) []solution {
 
 // compact copies the join pool and the accepted lists staged in the
 // scratch (sc.pool, and sc.acc for the first nv vertices) into the
-// node's exact-size tables and empties them, keeping their capacity
-// for the next node.
-func (ns *nodeSols) compact(sc *solverScratch, nv int) {
-	ns.joinPool = slices.Clone(sc.pool)
+// node's tables, taken from slabs (nil: allocated at exact size), and
+// empties them, keeping their capacity for the next node.
+func (ns *nodeSols) compact(sc *solverScratch, nv int, slabs *slabPool) {
+	ns.sols, ns.off, ns.joinPool = slabs.get(sc.nacc, nv+1, len(sc.pool))
+	ns.joinPool = append(ns.joinPool, sc.pool...)
 	sc.pool = sc.pool[:0]
-	ns.sols = make([]solution, 0, sc.nacc)
-	ns.off = make([]int32, nv+1)
 	for v, list := range sc.acc[:nv] {
 		ns.off[v] = int32(len(ns.sols))
 		ns.sols = append(ns.sols, list...)
@@ -119,11 +120,16 @@ func (ns *nodeSols) compact(sc *solverScratch, nv int) {
 
 // Result is the outcome of Solve: the non-dominated cost/arrival
 // tradeoff at the root ("Frontier"), plus enough state to extract any
-// chosen solution's full embedding.
+// chosen solution's full embedding. A Result solved with a Problem.Memo
+// is valid only until that memo's next solve; the frozen copy a Cache
+// keeps has no such limit.
 type Result struct {
 	p        *Problem
 	sols     []nodeSols
 	Frontier []FrontierSol
+	// frozen, set only on a frozen copy, holds the embedding of each
+	// Frontier point, index for index; p and sols are then nil.
+	frozen []*Embedding
 
 	// ctx and aborted implement cooperative cancellation: workers poll
 	// the flag (set once ctx is done) at amortized intervals and bail
@@ -472,7 +478,7 @@ func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 		sc.acc[it.vertex] = append(sc.acc[it.vertex], it.sol)
 	}
 	sc.nacc = len(seeds)
-	ns.compact(sc, nv)
+	ns.compact(sc, nv, nil)
 	sc.items = seeds[:0]
 	if r.cancelled() {
 		// The root join itself was cut short; its seed set may be
@@ -905,7 +911,7 @@ func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 		}
 	}
 	sc.items, sc.keys, sc.free = h.items[:0], h.keys[:0], h.free[:0]
-	r.sols[id].compact(sc, nv)
+	r.sols[id].compact(sc, nv, r.memoSlabs())
 }
 
 // accept appends the solution to A[id][v], staged in sc.acc[v], unless
@@ -940,7 +946,8 @@ func (r *Result) accept(sc *solverScratch, v Vertex, s *solution) bool {
 }
 
 // SolutionsAt exposes the accepted signature set A[node][v]; used by
-// tests to check the DP against the paper's worked example.
+// tests to check the DP against the paper's worked example. A frozen
+// Result keeps no node sets and does not support it.
 func (r *Result) SolutionsAt(node NodeID, v Vertex) []Sig {
 	list := r.sols[node].at(v)
 	out := make([]Sig, len(list))
@@ -996,8 +1003,13 @@ type Embedding struct {
 
 // Extract reconstructs the embedding behind a frontier solution by
 // retracing the DP choices top-down (Section II: "the actual embedding
-// is reconstructed in a top-down process").
+// is reconstructed in a top-down process"). On a frozen Result it
+// returns a copy of the embedding extracted when it was frozen. Either
+// way the caller owns the returned Embedding.
 func (r *Result) Extract(f FrontierSol) *Embedding {
+	if r.frozen != nil {
+		return r.frozenAt(f).clone()
+	}
 	emb := &Embedding{
 		NodeVertex: make([]Vertex, len(r.p.T.Nodes)),
 		Routes:     make([][]Vertex, len(r.p.T.Nodes)),
@@ -1007,6 +1019,42 @@ func (r *Result) Extract(f FrontierSol) *Embedding {
 	}
 	r.extract(f.Vertex, int32(f.idx), r.p.T.Root, emb)
 	return emb
+}
+
+// freeze returns a copy of r that keeps only what selection and
+// extraction read: the frontier, and every frontier point's embedding,
+// extracted now. It holds no node sets and no Problem, so it stays
+// valid after the memo's next solve and costs its holder a few small
+// slices per point instead of the DP's solution slabs.
+func (r *Result) freeze() *Result {
+	f := &Result{Frontier: slices.Clone(r.Frontier), frozen: make([]*Embedding, len(r.Frontier))}
+	for i := range r.Frontier {
+		f.frozen[i] = r.Extract(r.Frontier[i])
+	}
+	return f
+}
+
+// frozenAt returns the stored embedding of frontier point f.
+func (r *Result) frozenAt(f FrontierSol) *Embedding {
+	for i := range r.Frontier {
+		if r.Frontier[i].Vertex == f.Vertex && r.Frontier[i].idx == f.idx {
+			return r.frozen[i]
+		}
+	}
+	panic(fmt.Sprintf("embed: Extract of a point not on the frozen frontier (vertex %d)", f.Vertex))
+}
+
+// clone deep-copies an embedding.
+func (e *Embedding) clone() *Embedding {
+	c := &Embedding{
+		NodeVertex: slices.Clone(e.NodeVertex),
+		Routes:     make([][]Vertex, len(e.Routes)),
+		WireCost:   e.WireCost,
+	}
+	for i, route := range e.Routes {
+		c.Routes[i] = slices.Clone(route)
+	}
+	return c
 }
 
 func (r *Result) extract(v Vertex, idx int32, node NodeID, emb *Embedding) {
