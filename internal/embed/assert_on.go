@@ -118,20 +118,25 @@ func poisonSig() Sig {
 }
 
 // poisonScratch fills the solution buffers of a scratch about to go
-// back to the pool — the wavefront arena, the join combos and the
-// accepted lists — up to their capacity with a NaN-cost solution, and
-// its placement-cost vector with NaN.
+// back to the pool — the wavefront arena, the join's cross product and
+// pruned combos, and the accepted lists — up to their capacity with a
+// NaN-cost solution, its placement-cost vector with NaN, and the prune's
+// sort permutation with an out-of-range index.
 func poisonScratch(sc *solverScratch) {
 	bad := poisonSig()
 	items := sc.items[:cap(sc.items)]
 	for i := range items {
 		items[i] = queueItem{sol: solution{sig: bad}, vertex: -1}
 	}
-	for k := range sc.combos {
-		combos := sc.combos[k][:cap(sc.combos[k])]
+	for _, combos := range [][]combo{sc.combos, sc.kept} {
+		combos = combos[:cap(combos)]
 		for i := range combos {
 			combos[i] = combo{sig: bad, off: -1}
 		}
+	}
+	perm := sc.perm[:cap(sc.perm)]
+	for i := range perm {
+		perm[i] = math.MinInt32
 	}
 	for v := range sc.acc {
 		poisonSlab(sc.acc[v][:cap(sc.acc[v])])

@@ -159,3 +159,74 @@ func TestStaleMemoResultTrips(t *testing.T) {
 	}()
 	stale.processNode(gate, 1, getScratch())
 }
+
+// TestStaleFoldScratchTrips reads the join fold's buffers after their
+// scratch went back to the pool. The pruned combos and the cross product
+// are poisoned with NaN costs, so seeding a wavefront from either trips
+// the heap-key assertion; the sort permutation is poisoned with an
+// out-of-range index, so a prune that walks it stops at the bounds
+// check.
+func TestStaleFoldScratchTrips(t *testing.T) {
+	p := randomProblem(5, 6, 6, 4, Mode{LexDepth: 1}, false)
+	r, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The solve dropped its per-solve placement vector; look the costs
+	// up directly.
+	r.placeOff = make([]int, len(p.T.Nodes))
+	for i := range r.placeOff {
+		r.placeOff[i] = -1
+	}
+	var kept, cross []combo
+	var perm []int32
+	gate, at := NodeID(-1), Vertex(-1)
+	sc := getScratch()
+	for i := range p.T.Nodes {
+		if NodeID(i) == p.T.Root || len(p.T.Nodes[i].Children) < 2 {
+			continue
+		}
+		for v := range p.G.NumVertices() {
+			if combos, _, ok := r.foldVertex(NodeID(i), Vertex(v), sc); ok && len(combos) > 0 {
+				kept, cross, perm = combos, sc.combos, sc.perm
+				gate, at = NodeID(i), Vertex(v)
+				break
+			}
+		}
+		if gate >= 0 {
+			break
+		}
+	}
+	if gate < 0 {
+		t.Fatal("no two-input gate with a feasible join")
+	}
+	putScratch(sc)
+	for _, stale := range []struct {
+		name   string
+		combos []combo
+	}{{"pruned combos", kept}, {"cross product", cross}} {
+		if !math.IsNaN(stale.combos[0].sig.Cost) {
+			t.Fatalf("%s not poisoned", stale.name)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "NaN heap key") {
+					t.Fatalf("seeding from stale %s: recovered %q, want the heap-key assertion", stale.name, msg)
+				}
+			}()
+			ws := new(solverScratch)
+			ws.items = []queueItem{{sol: solution{sig: stale.combos[0].sig, kind: kindJoin}, vertex: at}}
+			r.runWavefront(gate, ws)
+		}()
+	}
+	for i, j := range perm {
+		if j >= 0 {
+			t.Fatalf("permutation entry %d = %d not poisoned", i, j)
+		}
+	}
+	mustPanic(t, "prune over a stale permutation", func() {
+		fresh := []combo{{sig: newLeafSig(p.Mode, 1, false)}}
+		pruneCombos2D(fresh, perm, nil, new(solverScratch))
+	})
+}

@@ -130,30 +130,53 @@ func lexLE(a, b *Sig, depth int) bool { return !lexLess(b, a, depth) }
 //
 // Branch participates unconditionally, not just under overlap control:
 // Peak is a dominance dimension in every mode, and a solution's future
-// Peak depends on its Branch (finishJoin grows Branch and folds it into
-// Peak). Pruning b against an equal-Peak a with a larger Branch would
-// discard exactly the candidate whose descendants have the smaller
-// Peak — an unsound prune the brute-force oracle catches on small
-// instances. Requiring a.Branch <= b.Branch restores the monotonicity
-// the dominance argument needs (and subsumes the overlap-control check,
-// which additionally filters joins by capacity in joinSpan).
-func dominates(m Mode, a, b *Sig) bool {
-	if a.Cost > b.Cost {
+// Peak depends on its Branch (finishJoinInto grows Branch and folds it
+// into Peak). Pruning b against an equal-Peak a with a larger Branch
+// would discard exactly the candidate whose descendants have the
+// smaller Peak — an unsound prune the brute-force oracle catches on
+// small instances. Requiring a.Branch <= b.Branch restores the
+// monotonicity the dominance argument needs (and subsumes the
+// overlap-control check, which additionally filters joins by capacity
+// in joinSpan).
+func dominates(m Mode, a, b *Sig) bool { return m.dominance().test(a, b) }
+
+// dominance is a mode's dominance test with the mode resolved once, so
+// scans that test many pairs under one mode pay for the mode tests once
+// per scan instead of once per pair.
+type dominance struct {
+	depth    int
+	mc, load bool
+	// plain: the dimensions every mode shares are the whole test.
+	plain bool
+}
+
+func (m Mode) dominance() dominance {
+	d := dominance{depth: m.lexDepth(), mc: m.MC, load: m.loadDependent()}
+	d.plain = d.depth == 1 && !d.mc && !d.load
+	return d
+}
+
+// test reports whether a dominates b (see dominates). The dimensions
+// every mode shares come first — cost, max arrival, Branch, Peak — and
+// decide the plain signature; modeTest covers the rest.
+func (d dominance) test(a, b *Sig) bool {
+	if a.Cost > b.Cost || a.D[0] > b.D[0] || a.Branch > b.Branch || a.Peak > b.Peak {
 		return false
 	}
-	if !lexLE(a, b, m.lexDepth()) {
+	return d.plain || d.modeTest(a, b)
+}
+
+// modeTest finishes the test of a pair no worse in the shared dimensions:
+// the lexicographic arrival tail (read only when the max arrivals tie),
+// TC under Lex-mc, and R under the load-dependent delay models.
+func (d dominance) modeTest(a, b *Sig) bool {
+	if d.depth > 1 && !lexLE(a, b, d.depth) {
 		return false
 	}
-	if m.MC && a.TC > b.TC {
+	if d.mc && a.TC > b.TC {
 		return false
 	}
-	if m.loadDependent() && a.R > b.R {
-		return false
-	}
-	if a.Branch > b.Branch {
-		return false
-	}
-	if a.Peak > b.Peak {
+	if d.load && a.R > b.R {
 		return false
 	}
 	return true
@@ -267,24 +290,25 @@ func augmentInto(m Mode, dst, src *Sig, e *Edge) {
 	}
 }
 
-// merge combines two child signatures meeting at a branching vertex
-// (no placement cost or gate delay yet — see finishJoin). Costs add;
-// the arrival vector becomes the top LexDepth values of the multiset
-// union of both vectors, which implements the paper's join equations
+// mergeInto writes into dst the combination of two child signatures
+// meeting at a branching vertex (no placement cost or gate delay yet —
+// see finishJoinInto). Costs add; the arrival vector becomes the top
+// LexDepth values of the multiset union of both vectors, which
+// implements the paper's join equations
 //
 //	t  = max(t_1 .. t_k)
 //	t2 = max({t_i} ∪ {t2_i} \ {t}) ...
 //
 // associatively, so k-ary joins fold pairwise. TC and W accumulate per
-// the Lex-mc join; Branch counts co-located gates.
-func merge(m Mode, a, b *Sig) Sig {
-	out := Sig{
-		Cost:   a.Cost + b.Cost,
-		TC:     a.TC + b.TC,
-		W:      a.W + b.W,
-		Branch: a.Branch + b.Branch,
-		Peak:   maxI32(a.Peak, b.Peak),
-	}
+// the Lex-mc join; Branch counts co-located gates. R is reset. dst must
+// not alias a or b.
+func mergeInto(m Mode, dst, a, b *Sig) {
+	dst.Cost = a.Cost + b.Cost
+	dst.TC = a.TC + b.TC
+	dst.W = a.W + b.W
+	dst.R = 0
+	dst.Branch = a.Branch + b.Branch
+	dst.Peak = maxI32(a.Peak, b.Peak)
 	depth := m.lexDepth()
 	// Descending-order merge of two sorted (descending) vectors,
 	// keeping the top `depth` entries.
@@ -292,50 +316,49 @@ func merge(m Mode, a, b *Sig) Sig {
 	for k := 0; k < MaxLex; k++ {
 		switch {
 		case k >= depth:
-			out.D[k] = negInf
+			dst.D[k] = negInf
 		case i < depth && (j >= depth || a.D[i] >= b.D[j]):
-			out.D[k] = a.D[i]
+			dst.D[k] = a.D[i]
 			i++
 		case j < depth:
-			out.D[k] = b.D[j]
+			dst.D[k] = b.D[j]
 			j++
 		default:
-			out.D[k] = negInf
+			dst.D[k] = negInf
 		}
 	}
-	return out
 }
 
-// finishJoin applies the per-vertex terms of the join: placement cost
-// p_ij and the gate's intrinsic delay (added to every live arrival
-// component, and to TC when the critical branch passes through). For
-// load-dependent modes the gate drives the upstream wire, so R resets.
-// Branch grows by one: the parent gate itself now sits at this vertex.
-// (We track gate *counts* rather than the paper's single bit — a
-// strictly more precise version of the same scheme.)
-func finishJoin(m Mode, s Sig, placeCost, intrinsic float64) Sig {
-	out := s
-	out.Cost += placeCost
-	out.Branch = s.Branch + 1
-	if out.Branch > out.Peak {
-		out.Peak = out.Branch
+// finishJoinInto writes into dst the signature src with the per-vertex
+// terms of the join applied: placement cost p_ij and the gate's
+// intrinsic delay (added to every live arrival component, and to TC
+// when the critical branch passes through). For load-dependent modes
+// the gate drives the upstream wire, so R resets. Branch grows by one:
+// the parent gate itself now sits at this vertex. (We track gate
+// *counts* rather than the paper's single bit — a strictly more
+// precise version of the same scheme.) dst may alias src.
+func finishJoinInto(m Mode, dst, src *Sig, placeCost, intrinsic float64) {
+	*dst = *src
+	dst.Cost += placeCost
+	dst.Branch++
+	if dst.Branch > dst.Peak {
+		dst.Peak = dst.Branch
 	}
 	depth := m.lexDepth()
 	for i := 0; i < depth; i++ {
-		if out.D[i] != negInf {
-			out.D[i] += intrinsic
+		if dst.D[i] != negInf {
+			dst.D[i] += intrinsic
 		}
 	}
-	if m.MC && out.W > 0 {
-		out.TC += intrinsic
+	if m.MC && dst.W > 0 {
+		dst.TC += intrinsic
 	}
 	switch m.Delay {
 	case QuadraticDelay:
-		out.R = 0
+		dst.R = 0
 	case ElmoreDelay:
-		out.R = m.GateR
+		dst.R = m.GateR
 	}
-	return out
 }
 
 func maxI32(a, b int32) int32 {

@@ -226,6 +226,19 @@ func max(a, b int) int {
 	return b
 }
 
+// merge is the by-value form of mergeInto.
+func merge(m Mode, a, b *Sig) Sig {
+	var out Sig
+	mergeInto(m, &out, a, b)
+	return out
+}
+
+// finishJoin is the by-value form of finishJoinInto.
+func finishJoin(m Mode, s Sig, placeCost, intrinsic float64) Sig {
+	finishJoinInto(m, &s, &s, placeCost, intrinsic)
+	return s
+}
+
 // augment is the by-value form of augmentInto.
 func augment(m Mode, s Sig, e Edge) Sig {
 	var out Sig

@@ -146,6 +146,8 @@ type Result struct {
 	// dropped when the solve returns.
 	place    []float64
 	placeOff []int
+	// dom is the dominance test of p.Mode.
+	dom dominance
 }
 
 // ctxCheckStride amortizes ctx.Err polls over this many wavefront pops
@@ -177,10 +179,10 @@ type FrontierSol struct {
 
 // solverScratch bundles the reusable per-solve buffers: the wavefront
 // heap and its item arena, the accepted lists of the node being
-// expanded, the double-buffered join fold (combo lists plus the flat
-// child-index arenas behind them), and the prune staircase. It is
-// pooled so repeated Solve calls inside the engine loop stop churning
-// the garbage collector.
+// expanded, the join fold (cross product, sort permutation, pruned
+// combos and the flat child-index arenas behind them), and the prune
+// staircase. It is pooled so repeated Solve calls inside the engine
+// loop stop churning the garbage collector.
 type solverScratch struct {
 	// items is the wavefront arena (seeded by the join, then recycled
 	// through free); keys is the heap over it.
@@ -191,10 +193,15 @@ type solverScratch struct {
 	// number of solutions across them, and pool the node's join child
 	// references; compact moves them into the node's tables and leaves
 	// them empty.
-	acc    [][]solution
-	nacc   int
-	pool   []int32
-	combos [2][]combo
+	acc  [][]solution
+	nacc int
+	pool []int32
+	// combos is the join fold's cross product, perm the order
+	// pruneCombos sorts it in, and kept the pruned combos; arena holds
+	// the child indices behind them, double-buffered across fold steps.
+	combos []combo
+	perm   []int32
+	kept   []combo
 	arena  [2][]int32
 	// stairBranch / stairs are the branch-classed prune staircases:
 	// one monotone (d0, peak) staircase per distinct Branch value seen
@@ -248,7 +255,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 	if err := p.T.Validate(p.G.NumVertices()); err != nil {
 		return nil, err
 	}
-	r := &Result{p: p, ctx: ctx, sols: make([]nodeSols, len(p.T.Nodes))}
+	r := &Result{p: p, ctx: ctx, sols: make([]nodeSols, len(p.T.Nodes)), dom: p.Mode.dominance()}
 	order := p.T.PostOrder()
 	sc := getScratch()
 	defer putScratch(sc)
@@ -520,8 +527,7 @@ func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 		for _, f := range all {
 			dominated := false
 			for i := range r.Frontier {
-				if r.Frontier[i].Vertex == f.Vertex &&
-					dominates(p.Mode, &r.Frontier[i].Sig, &f.Sig) {
+				if r.Frontier[i].Vertex == f.Vertex && r.dom.test(&r.Frontier[i].Sig, &f.Sig) {
 					dominated = true
 					break
 				}
@@ -538,7 +544,7 @@ func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 	for _, f := range all {
 		dominated := false
 		for i := range r.Frontier {
-			if dominates(p.Mode, &r.Frontier[i].Sig, &f.Sig) {
+			if r.dom.test(&r.Frontier[i].Sig, &f.Sig) {
 				dominated = true
 				break
 			}
@@ -577,19 +583,17 @@ func (r *Result) joinSpan(id NodeID, lo, hi int, list []Vertex, pool *[]int32, s
 		}
 		for ci := range combos {
 			cb := &combos[ci]
-			sig := finishJoin(p.Mode, cb.sig, pc, n.Intrinsic)
-			if p.Mode.OverlapControl && int(sig.Branch) > p.capacity(v) {
+			// The join adds this gate to Branch (finishJoinInto).
+			if p.Mode.OverlapControl && int(cb.sig.Branch+1) > p.capacity(v) {
 				continue // would overfill the slot (Section II-A)
 			}
 			ref := int32(len(*pool))
 			// Each caller passes a private pool/seed pair: join workers
-			// a stack-local shard, tree-node goroutines their own
-			// scratch. Shards merge after wg.Wait.
+			// the shard slot they claimed, tree-node goroutines their
+			// own scratch. Shards merge after wg.Wait.
 			*pool = append(*pool, arena[cb.off:cb.off+k]...)
-			seeds = append(seeds, queueItem{
-				sol:    solution{sig: sig, kind: kindJoin, joinRef: ref},
-				vertex: v,
-			})
+			seeds = append(seeds, queueItem{sol: solution{kind: kindJoin, joinRef: ref}, vertex: v})
+			finishJoinInto(p.Mode, &seeds[len(seeds)-1].sol.sig, &cb.sig, pc, n.Intrinsic)
 		}
 	}
 	if list != nil {
@@ -652,12 +656,10 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 				if hi > nv {
 					hi = nv
 				}
-				var sp []int32
 				// Chunk indices come from the atomic counter: each
 				// worker claims a distinct ci, so the outs entries
 				// written here are disjoint across workers.
-				outs[ci].seeds = r.joinSpan(id, lo, hi, nil, &sp, nil, sc)
-				outs[ci].pool = sp
+				outs[ci].seeds = r.joinSpan(id, lo, hi, nil, &outs[ci].pool, outs[ci].seeds, sc)
 			}
 		}()
 	}
@@ -680,44 +682,68 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 // cross-product with dominance pruning at each step (the paper's 2-D
 // join is a linear merge; the pairwise cross-product with pruning is
 // the general form that also covers the Lex and load-dependent
-// signatures). The returned combos and their child-index arena live in
-// sc and are valid until the next foldVertex call on that scratch.
+// signatures). The first step merges the first two children's accepted
+// lists directly. The returned combos and their child-index arena live
+// in sc and are valid until the next foldVertex call on that scratch.
 func (r *Result) foldVertex(id NodeID, v Vertex, sc *solverScratch) ([]combo, []int32, bool) {
-	p := r.p
-	children := p.T.Nodes[id].Children
-	cur := 0
-	sc.combos[0] = sc.combos[0][:0]
-	sc.arena[0] = sc.arena[0][:0]
-	for ci, c := range children {
-		childSols := r.sols[c].at(v)
-		if len(childSols) == 0 {
+	m := r.p.Mode
+	children := r.p.T.Nodes[id].Children
+	for _, c := range children {
+		if len(r.sols[c].at(v)) == 0 {
 			return nil, nil, false
 		}
-		if ci == 0 {
-			for i := range childSols {
-				sc.combos[0] = append(sc.combos[0], combo{sig: childSols[i].sig, off: int32(len(sc.arena[0]))})
-				sc.arena[0] = append(sc.arena[0], int32(i))
-			}
-			continue
-		}
-		nxt := 1 - cur
-		sc.combos[nxt] = sc.combos[nxt][:0]
-		sc.arena[nxt] = sc.arena[nxt][:0]
-		for ti := range sc.combos[cur] {
-			cb := &sc.combos[cur][ti]
-			prefix := sc.arena[cur][cb.off : cb.off+int32(ci)]
-			for i := range childSols {
-				m := merge(p.Mode, &cb.sig, &childSols[i].sig)
-				off := int32(len(sc.arena[nxt]))
-				sc.arena[nxt] = append(sc.arena[nxt], prefix...)
-				sc.arena[nxt] = append(sc.arena[nxt], int32(i))
-				sc.combos[nxt] = append(sc.combos[nxt], combo{sig: m, off: off})
-			}
-		}
-		cur = nxt
-		sc.combos[cur] = pruneCombos(p.Mode, sc.combos[cur], sc)
 	}
-	return sc.combos[cur], sc.arena[cur], true
+	first := r.sols[children[0]].at(v)
+	if len(children) == 1 {
+		kept, arena := sc.kept[:0], sc.arena[0][:0]
+		for i := range first {
+			kept = append(kept, combo{sig: first[i].sig, off: int32(i)})
+			arena = append(arena, int32(i))
+		}
+		sc.kept, sc.arena[0] = kept, arena
+		return kept, arena, true
+	}
+	second := r.sols[children[1]].at(v)
+	n := len(first) * len(second)
+	combos := slices.Grow(sc.combos[:0], n)[:n]
+	arena := slices.Grow(sc.arena[0][:0], 2*n)[:2*n]
+	k := 0
+	for i := range first {
+		for j := range second {
+			cb := &combos[k]
+			mergeInto(m, &cb.sig, &first[i].sig, &second[j].sig)
+			cb.off = int32(2 * k)
+			arena[2*k], arena[2*k+1] = int32(i), int32(j)
+			k++
+		}
+	}
+	sc.combos, sc.arena[0] = combos, arena
+	kept := pruneCombos(m, combos, sc)
+	cur := 0
+	for ci := 2; ci < len(children); ci++ {
+		sols := r.sols[children[ci]].at(v)
+		nxt := 1 - cur
+		n, w := len(kept)*len(sols), ci+1
+		combos := slices.Grow(sc.combos[:0], n)[:n]
+		arena := slices.Grow(sc.arena[nxt][:0], n*w)[:n*w]
+		k := 0
+		for ti := range kept {
+			prev := &kept[ti]
+			prefix := sc.arena[cur][prev.off : prev.off+int32(ci)]
+			for i := range sols {
+				cb := &combos[k]
+				mergeInto(m, &cb.sig, &prev.sig, &sols[i].sig)
+				cb.off = int32(k * w)
+				copy(arena[k*w:], prefix)
+				arena[k*w+ci] = int32(i)
+				k++
+			}
+		}
+		sc.combos, sc.arena[nxt] = combos, arena
+		cur = nxt
+		kept = pruneCombos(m, combos, sc)
+	}
+	return kept, sc.arena[cur], true
 }
 
 // combo is a partial join: a merged signature plus the offset of the
@@ -734,56 +760,62 @@ type stairStep struct {
 	peak int32
 }
 
-// pruneCombos removes dominated combinations. The input is sorted by
-// totalCmp — a total order refining dominance — so the forward-only
-// scans below yield the canonical minimal antichain regardless of input
-// order. For the common plain signature (LexDepth 1, linear delay, no
-// MC) the post-sort scan is a near-linear sweep over branch-classed
-// staircases; the general quadratic scan covers Lex-N, Lex-mc and
-// load-dependent modes.
+// pruneCombos removes dominated combinations and returns the survivors,
+// copied into sc.kept in totalCmp order. It sorts a permutation of
+// indices into in, not the combos themselves: the sort's decisions
+// depend only on comparison answers, so the permutation is the one a
+// sort of the combos would apply, and equal signatures keep the same
+// survivor. totalCmp is a total order refining dominance, so the
+// forward-only scans below yield the canonical minimal antichain
+// regardless of input order. For the common plain signature
+// (LexDepth 1, linear delay, no MC) the post-sort scan is a near-linear
+// sweep over branch-classed staircases; the general quadratic scan
+// covers Lex-N, Lex-mc and load-dependent modes.
 func pruneCombos(m Mode, in []combo, sc *solverScratch) []combo {
-	slices.SortFunc(in, func(a, b combo) int { return totalCmp(m, &a.sig, &b.sig) })
-	if m.lexDepth() == 1 && !m.MC && !m.loadDependent() {
-		out := pruneCombos2D(in, sc)
-		if assertEnabled {
-			assertNonDominatedCombos(m, out)
-		}
-		return out
-	}
-	out := in[:0]
+	perm := sc.perm[:0]
 	for i := range in {
-		dominated := false
-		for j := range out {
-			if dominates(m, &out[j].sig, &in[i].sig) {
-				dominated = true
-				break
+		perm = append(perm, int32(i))
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return totalCmp(m, &in[a].sig, &in[b].sig) })
+	sc.perm = perm
+	out := sc.kept[:0]
+	if dom := m.dominance(); dom.plain {
+		out = pruneCombos2D(in, perm, out, sc)
+	} else {
+		for _, i := range perm {
+			dominated := false
+			for j := range out {
+				if dom.test(&out[j].sig, &in[i].sig) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				out = append(out, in[i])
 			}
 		}
-		if !dominated {
-			out = append(out, in[i])
-		}
 	}
+	sc.kept = out
 	if assertEnabled {
 		assertNonDominatedCombos(m, out)
 	}
 	return out
 }
 
-// pruneCombos2D prunes totalCmp-sorted combos under the plain-mode
-// dominance test (cost, arrival, branch, peak — cost ordering is given
-// by the sort, so dominance reduces to a query over the remaining
-// dimensions): a combo is dominated iff some kept combo has arrival,
-// branch and peak all no worse. Kept combos live in one monotone
-// (d0, peak) staircase per distinct Branch value — a join sees only a
-// handful of distinct branch counts, so a dominance query is a binary
-// search per no-worse branch class instead of a scan over all kept
-// combos. Each staircase keeps d0 non-decreasing and peak strictly
-// decreasing, so the best peak at arrival <= x is the last step with
-// d0 <= x.
-func pruneCombos2D(in []combo, sc *solverScratch) []combo {
+// pruneCombos2D appends to out the combos of in, taken in the totalCmp
+// order perm, that survive the plain-mode dominance test (cost, arrival,
+// branch, peak — cost ordering is given by the sort, so dominance
+// reduces to a query over the remaining dimensions): a combo is
+// dominated iff some kept combo has arrival, branch and peak all no
+// worse. Kept combos live in one monotone (d0, peak) staircase per
+// distinct Branch value — a join sees only a handful of distinct branch
+// counts, so a dominance query is a binary search per no-worse branch
+// class instead of a scan over all kept combos. Each staircase keeps d0
+// non-decreasing and peak strictly decreasing, so the best peak at
+// arrival <= x is the last step with d0 <= x.
+func pruneCombos2D(in []combo, perm []int32, out []combo, sc *solverScratch) []combo {
 	branches := sc.stairBranch[:0]
-	out := in[:0]
-	for i := range in {
+	for _, i := range perm {
 		d0, br, peak := in[i].sig.D[0], in[i].sig.Branch, in[i].sig.Peak
 		dominated := false
 		for c := range branches {
@@ -920,7 +952,7 @@ func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 func (r *Result) accept(sc *solverScratch, v Vertex, s *solution) bool {
 	list := sc.acc[v]
 	for i := range list {
-		if dominates(r.p.Mode, &list[i].sig, &s.sig) {
+		if r.dom.test(&list[i].sig, &s.sig) {
 			return false
 		}
 	}
