@@ -46,11 +46,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# replint is the project's own static analyzer (cmd/replint): the
-# lexical determinism/correctness rules, the module-wide dataflow
-# suite (detflow nondeterminism taint, ctxstride cancellation polling,
-# hotalloc DP-hot-path allocations, shardwrite worker-shard writes) and
-# the flow-sensitive family (stalegen, lockorder, wgleak, deferbal).
+# replint is the project's own static analyzer (cmd/replint): floatcmp
+# (exact float compares), ctxstride (cancellation polling in unbounded
+# loops), shardwrite (worker-shard writes) and wgleak (WaitGroup joins),
+# the four rules that alone reported a seeded bug no test caught.
 # Zero unsuppressed findings is part of `make check`; see
 # `go run ./cmd/replint -rules` for the catalog.
 lint:

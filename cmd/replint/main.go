@@ -76,12 +76,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\nsuppression:\n\t//replint:ignore rule[,rule...] -- reason\n"+
 			"\t(trailing: suppresses its own line; standalone: the next line)\n"+
-			"\t//replint:metadata -- reason\n"+
-			"\t(on a struct field or type decl: field carries sanctioned\n"+
-			"\tnondeterministic metadata; detflow absorbs stores into it)\n"+
-			"\t//replint:guarded gen=<counter field>\n"+
-			"\t(on a struct field: writes must be post-dominated by a bump\n"+
-			"\tof the sibling counter before return; stalegen enforces it)\n")
+			"\t//replint:floatcmp-helper\n"+
+			"\t(in a function's doc comment: exact float comparisons inside\n"+
+			"\tit are the intended semantics; floatcmp skips it)\n")
 		return 0
 	}
 

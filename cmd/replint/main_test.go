@@ -151,7 +151,7 @@ func TestRulesCatalog(t *testing.T) {
 			t.Errorf("-rules catalog is missing %s", a.Name)
 		}
 	}
-	for _, directive := range []string{"replint:ignore", "replint:metadata"} {
+	for _, directive := range []string{"replint:ignore", "replint:floatcmp-helper"} {
 		if !strings.Contains(stdout.String(), directive) {
 			t.Errorf("-rules catalog does not document //%s", directive)
 		}

@@ -60,22 +60,22 @@ func TestSARIFReport(t *testing.T) {
 		{
 			name: "unsuppressed finding is an error with a location",
 			findings: []analysis.Finding{
-				finding("stalegen", "internal/timing/spt_cache.go", 184, 3,
-					"write to guarded field downT is not followed by a bump of builtGen on every path to return"),
+				finding("shardwrite", "internal/embed/solve.go", 184, 3,
+					"worker shard writes captured outs via out.seeds without a per-shard index"),
 			},
 			check: func(t *testing.T, log sarifLog) {
 				r := log.Runs[0].Results[0]
 				if r.Level != "error" {
 					t.Errorf("level = %q, want error", r.Level)
 				}
-				if r.RuleID != "stalegen" || r.RuleIndex != ruleIdx["stalegen"] {
-					t.Errorf("ruleId/index = %q/%d, want stalegen/%d", r.RuleID, r.RuleIndex, ruleIdx["stalegen"])
+				if r.RuleID != "shardwrite" || r.RuleIndex != ruleIdx["shardwrite"] {
+					t.Errorf("ruleId/index = %q/%d, want shardwrite/%d", r.RuleID, r.RuleIndex, ruleIdx["shardwrite"])
 				}
 				if len(r.Suppressions) != 0 {
 					t.Errorf("suppressions = %d, want 0", len(r.Suppressions))
 				}
 				loc := r.Locations[0].PhysicalLocation
-				if loc.ArtifactLocation.URI != "internal/timing/spt_cache.go" {
+				if loc.ArtifactLocation.URI != "internal/embed/solve.go" {
 					t.Errorf("uri = %q", loc.ArtifactLocation.URI)
 				}
 				if loc.Region.StartLine != 184 || loc.Region.StartColumn != 3 {
@@ -121,16 +121,16 @@ func TestSARIFReport(t *testing.T) {
 		{
 			name: "mixed findings keep input order",
 			findings: []analysis.Finding{
-				finding("maprange", "a.go", 1, 1, "m1"),
+				finding("wgleak", "a.go", 1, 1, "m1"),
 				suppressed(finding("floatcmp", "b.go", 2, 2, "m2"), "r2"),
-				finding("deferbal", "c.go", 3, 3, "m3"),
+				finding("ctxstride", "c.go", 3, 3, "m3"),
 			},
 			check: func(t *testing.T, log sarifLog) {
 				got := log.Runs[0].Results
 				if len(got) != 3 {
 					t.Fatalf("results = %d, want 3", len(got))
 				}
-				for i, want := range []string{"maprange", "floatcmp", "deferbal"} {
+				for i, want := range []string{"wgleak", "floatcmp", "ctxstride"} {
 					if got[i].RuleID != want {
 						t.Errorf("result %d rule = %q, want %q", i, got[i].RuleID, want)
 					}

@@ -4,12 +4,12 @@
 // correctness rules this codebase enforces on itself.
 //
 // The parallel embedding engine and the levelized STA promise
-// bit-identical results at any worker count. That contract is
-// structural — it survives only as long as nothing iterates an
-// unordered map into an ordered decision, compares float costs with ==,
-// leaks pooled scratch, or writes shared state from a worker without a
-// proven disjointness argument. These rules make each of those failure
-// classes a build error rather than a debugging session.
+// bit-identical results at any worker count, and every context-aware
+// entry point promises to stop soon after cancellation. The rules here
+// guard the failure classes no outcome test reliably reaches: exact
+// float compares where a tolerance was meant, unbounded loops that
+// never poll cancellation, worker writes to shared state without a
+// disjointness argument, and goroutines launched without a sound join.
 package analysis
 
 import (
@@ -81,17 +81,10 @@ type Analyzer struct {
 // All returns the rule catalog in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapRange,
 		FloatCmp,
-		ScratchLeak,
-		DetFlow,
 		CtxStride,
-		HotAlloc,
 		ShardWrite,
-		StaleGen,
-		LockOrder,
 		WGLeak,
-		DeferBal,
 	}
 }
 
@@ -157,4 +150,47 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Msg < b.Msg
 	})
+}
+
+// rootObject unwraps selectors/indexes/parens/stars down to the base
+// identifier's object.
+func rootObject(pass *Pass, e ast.Expr) types.Object {
+	for {
+		switch ex := e.(type) {
+		case *ast.Ident:
+			return pass.ObjectOf(ex)
+		case *ast.SelectorExpr:
+			e = ex.X
+		case *ast.IndexExpr:
+			e = ex.X
+		case *ast.ParenExpr:
+			e = ex.X
+		case *ast.StarExpr:
+			e = ex.X
+		case *ast.CallExpr:
+			e = ex.Fun
+		default:
+			return nil
+		}
+	}
+}
+
+// exprString renders a short source form of e for messages.
+func exprString(e ast.Expr) string {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		return ex.Name
+	case *ast.SelectorExpr:
+		return exprString(ex.X) + "." + ex.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(ex.X) + "[...]"
+	case *ast.CallExpr:
+		return exprString(ex.Fun) + "(...)"
+	case *ast.ParenExpr:
+		return "(" + exprString(ex.X) + ")"
+	case *ast.StarExpr:
+		return "*" + exprString(ex.X)
+	default:
+		return "expression"
+	}
 }

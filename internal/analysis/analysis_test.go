@@ -14,8 +14,7 @@ import (
 // `// wantsuppressed <rule>` must yield a finding covered by an
 // adjacent //replint:ignore directive, and no other line may yield
 // anything. The fixture has its own go.mod so its packages live under
-// fixture/internal/... and the maprange package filter applies to them
-// exactly as it does to the real tree.
+// fixture/internal/... exactly as the real tree's do.
 
 var wantRE = regexp.MustCompile(`//\s*want(suppressed)?\s+([a-z]+(?:,[a-z]+)*)\s*$`)
 
@@ -30,8 +29,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	// Module mode, exactly as cmd/replint runs: the whole fixture
 	// module is loaded and summarized once, so the interprocedural
-	// rules (detflow, ctxstride, hotalloc, shardwrite) see the same
-	// call-graph and taint facts they would in the real tree.
+	// rules (ctxstride, shardwrite) see the same call-graph and
+	// write-through facts they would in the real tree.
 	mod, err := BuildModule(loader)
 	if err != nil {
 		t.Fatal(err)

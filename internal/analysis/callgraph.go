@@ -72,27 +72,6 @@ func (g *callGraph) addEdge(from, to *types.Func) {
 	g.callers[to][from] = true
 }
 
-// reachable returns the set of functions reachable from the roots
-// (roots included) following callee edges.
-func (g *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	work := append([]*types.Func(nil), roots...)
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		for callee := range g.callees[f] {
-			if !seen[callee] {
-				work = append(work, callee)
-			}
-		}
-	}
-	return seen
-}
-
 // implIndex lists the module's named (non-interface) types once, so
 // interface-call resolution is a scan over them rather than over the
 // whole type universe.

@@ -8,12 +8,9 @@ import (
 
 // cfg.go is the flow-sensitive layer: an intraprocedural control-flow
 // graph of basic blocks built directly over the AST (no SSA, no
-// go/packages), plus the two dataflow queries the flow-sensitive rules
-// share — reaching definitions over the existing defRecord
-// classification, and a "must pass before exit" (post-dominance style)
-// query used to prove that an obligation (a generation bump, an
-// unlock, a WaitGroup join) is discharged on every path from a program
-// point to function return.
+// go/packages), plus a "must pass before exit" (post-dominance style)
+// query used to prove that an obligation (a WaitGroup join) is
+// discharged on every path from a program point to function return.
 //
 // Granularity: a block owns a sequence of ast.Node entries — leaf
 // statements plus the *header parts* of control statements (an if's
@@ -48,20 +45,8 @@ type cfg struct {
 	exit   *cfgBlock // synthetic; empty; target of every return
 	blocks []*cfgBlock
 
-	// defs are the definition sites found in owned nodes, used by the
-	// reaching-definitions solver. Built lazily on first query.
-	defsBuilt bool
-	defsIn    map[*cfgBlock]map[types.Object][]*cfgDef
-	defsAll   map[types.Object][]*cfgDef
-	pkg       *Package
-	nr        map[*types.Func]bool
-}
-
-// cfgDef is one definition site inside the graph.
-type cfgDef struct {
-	block *cfgBlock
-	ord   int // index into block.nodes
-	rec   defRecord
+	pkg *Package
+	nr  map[*types.Func]bool
 }
 
 // buildCFG constructs the graph for one body. nr is the module's
@@ -577,213 +562,4 @@ func (c *cfg) solveMustPass(sat func(ast.Node) bool) []bool {
 		}
 	}
 	return ok
-}
-
-// ---------------------------------------------------------------------
-// Reaching definitions.
-
-// buildDefs scans every block's owned nodes for definition sites,
-// classifying them exactly as the flow-insensitive def-use layer does
-// (defRecord), then solves the forward reaching-definitions equations:
-// OUT[b] = lastDef(b) over IN[b], IN[b] = union over preds OUT.
-func (c *cfg) buildDefs() {
-	if c.defsBuilt {
-		return
-	}
-	c.defsBuilt = true
-	c.defsAll = map[types.Object][]*cfgDef{}
-
-	gen := map[*cfgBlock]map[types.Object]*cfgDef{} // last def per object per block
-	record := func(b *cfgBlock, ord int, obj types.Object, rec defRecord) {
-		if obj == nil {
-			return
-		}
-		d := &cfgDef{block: b, ord: ord, rec: rec}
-		c.defsAll[obj] = append(c.defsAll[obj], d)
-		if gen[b] == nil {
-			gen[b] = map[types.Object]*cfgDef{}
-		}
-		gen[b][obj] = d
-	}
-	for _, b := range c.blocks {
-		for ord, n := range b.nodes {
-			c.scanDefs(b, ord, n, record)
-		}
-	}
-
-	// Solve to fixpoint. Reaching sets are per-object def-site lists;
-	// a block with a def of obj kills upstream defs of obj (strong
-	// update: owned-node defs are whole-variable assignments).
-	in := map[*cfgBlock]map[types.Object][]*cfgDef{}
-	out := map[*cfgBlock]map[types.Object][]*cfgDef{}
-	computeOut := func(b *cfgBlock) map[types.Object][]*cfgDef {
-		o := map[types.Object][]*cfgDef{}
-		for obj, defs := range in[b] {
-			if gen[b] != nil && gen[b][obj] != nil {
-				continue // killed
-			}
-			o[obj] = defs
-		}
-		for obj, d := range gen[b] {
-			o[obj] = []*cfgDef{d}
-		}
-		return o
-	}
-	sameDefs := func(a, b map[types.Object][]*cfgDef) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for obj, ad := range a {
-			bd, ok := b[obj]
-			if !ok || len(ad) != len(bd) {
-				return false
-			}
-			for i := range ad {
-				if ad[i] != bd[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, b := range c.blocks {
-		in[b] = map[types.Object][]*cfgDef{}
-		out[b] = computeOut(b)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.blocks {
-			merged := map[types.Object][]*cfgDef{}
-			for _, p := range b.preds {
-				for obj, defs := range out[p] {
-					merged[obj] = mergeDefs(merged[obj], defs)
-				}
-			}
-			if !sameDefs(merged, in[b]) {
-				in[b] = merged
-				o := computeOut(b)
-				if !sameDefs(o, out[b]) {
-					out[b] = o
-					changed = true
-				}
-			}
-		}
-	}
-	c.defsIn = in
-}
-
-func mergeDefs(dst, src []*cfgDef) []*cfgDef {
-	for _, d := range src {
-		found := false
-		for _, e := range dst {
-			if e == d {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, d)
-		}
-	}
-	return dst
-}
-
-// scanDefs extracts definition sites from one owned node.
-func (c *cfg) scanDefs(b *cfgBlock, ord int, n ast.Node, record func(*cfgBlock, int, types.Object, defRecord)) {
-	objOf := func(lhs ast.Expr) types.Object {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return nil
-		}
-		return c.pkg.Info.ObjectOf(id)
-	}
-	switch st := n.(type) {
-	case *ast.AssignStmt:
-		if st.Tok == token.ASSIGN || st.Tok == token.DEFINE {
-			if len(st.Lhs) == len(st.Rhs) {
-				for i, lhs := range st.Lhs {
-					record(b, ord, objOf(lhs), defRecord{rhs: st.Rhs[i]})
-				}
-			} else {
-				for _, lhs := range st.Lhs {
-					record(b, ord, objOf(lhs), defRecord{rhs: st.Rhs[0]})
-				}
-			}
-		} else {
-			record(b, ord, objOf(st.Lhs[0]), defRecord{rhs: st.Rhs[0], arith: true})
-		}
-	case *ast.IncDecStmt:
-		record(b, ord, objOf(st.X), defRecord{arith: true})
-	case *ast.RangeStmt:
-		if st.Key != nil {
-			record(b, ord, objOf(st.Key), defRecord{rng: st})
-		}
-		if st.Value != nil {
-			record(b, ord, objOf(st.Value), defRecord{rng: st})
-		}
-	case *ast.DeclStmt:
-		gd, ok := st.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				var rhs ast.Expr
-				if i < len(vs.Values) {
-					rhs = vs.Values[i]
-				}
-				record(b, ord, c.pkg.Info.Defs[name], defRecord{rhs: rhs})
-			}
-		}
-	}
-	// Address-taken objects become opaque at the site of the &.
-	ast.Inspect(n, func(inner ast.Node) bool {
-		if _, ok := inner.(*ast.FuncLit); ok {
-			return false
-		}
-		ue, ok := inner.(*ast.UnaryExpr)
-		if !ok || ue.Op != token.AND {
-			return true
-		}
-		if id, ok := ast.Unparen(ue.X).(*ast.Ident); ok {
-			if obj := c.pkg.Info.ObjectOf(id); obj != nil {
-				record(b, ord, obj, defRecord{opaque: true})
-			}
-		}
-		return true
-	})
-}
-
-// defsReaching returns the definition sites of obj that reach the
-// point just before node ord of block b: the closest preceding def in
-// the block if one exists, otherwise the union over incoming edges.
-// An empty result means obj is defined outside this graph (a
-// parameter, a captured variable, or a package-level object).
-func (c *cfg) defsReaching(b *cfgBlock, ord int, obj types.Object) []*cfgDef {
-	c.buildDefs()
-	var last *cfgDef
-	for _, d := range c.defsAll[obj] {
-		if d.block == b && d.ord < ord && (last == nil || d.ord > last.ord) {
-			last = d
-		}
-	}
-	if last != nil {
-		return []*cfgDef{last}
-	}
-	return c.defsIn[b][obj]
-}
-
-// inspectOwned walks one owned node, skipping function literal
-// interiors (their statements execute at call time, not here).
-func inspectOwned(n ast.Node, f func(ast.Node) bool) {
-	ast.Inspect(n, func(inner ast.Node) bool {
-		if _, ok := inner.(*ast.FuncLit); ok {
-			return false
-		}
-		return f(inner)
-	})
 }

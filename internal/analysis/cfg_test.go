@@ -48,7 +48,10 @@ func definesVar(name string) func(ast.Node) bool {
 // owned node contains a call to the package function bump.
 func callsBump(n ast.Node) bool {
 	found := false
-	inspectOwned(n, func(inner ast.Node) bool {
+	ast.Inspect(n, func(inner ast.Node) bool {
+		if _, ok := inner.(*ast.FuncLit); ok {
+			return false
+		}
 		if call, ok := inner.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "bump" {
 				found = true
@@ -192,39 +195,6 @@ func earlyReturnBeforeWrite(x int) {
 	_ = y
 	bump()
 }
-
-func defsKill() int {
-	x := 1
-	x = 2
-	return x
-}
-
-func defsMerge(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	}
-	return x
-}
-
-func defsOpaque() int {
-	x := 1
-	p := &x
-	_ = p
-	return x
-}
-
-func defsParam(x int) int {
-	return x
-}
-
-func defsLoop(n int) int {
-	x := 0
-	for i := 0; i < n; i++ {
-		x = x + 1
-	}
-	return x
-}
 `
 
 func buildCFGFixture(t *testing.T) *Module {
@@ -293,70 +263,4 @@ func TestMustPassToExit(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDefsReaching exercises the reaching-definitions solver: kills,
-// branch merges, loop-carried defs, address-taken opacity, and the
-// empty answer for objects defined outside the graph.
-func TestDefsReaching(t *testing.T) {
-	mod := buildCFGFixture(t)
-
-	// atReturn locates the return statement and the object its result
-	// identifier resolves to.
-	atReturn := func(t *testing.T, c *cfg, f *ModFunc) (*cfgBlock, int, []*cfgDef) {
-		t.Helper()
-		b, ord := findOwned(t, c, func(n ast.Node) bool {
-			_, ok := n.(*ast.ReturnStmt)
-			return ok
-		})
-		ret := b.nodes[ord].(*ast.ReturnStmt)
-		id := ret.Results[0].(*ast.Ident)
-		obj := f.Pkg.Info.ObjectOf(id)
-		if obj == nil {
-			t.Fatal("return identifier does not resolve")
-		}
-		return b, ord, c.defsReaching(b, ord, obj)
-	}
-
-	run := func(name string) (*cfg, []*cfgDef) {
-		f := funcNamed(t, mod, name)
-		c := mod.cfgOf(f.Pkg, f.Decl.Body)
-		_, _, defs := atReturn(t, c, f)
-		return c, defs
-	}
-
-	t.Run("later def kills earlier in a block", func(t *testing.T) {
-		_, defs := run("defsKill")
-		if len(defs) != 1 {
-			t.Fatalf("reaching defs = %d, want 1", len(defs))
-		}
-		lit, ok := defs[0].rec.rhs.(*ast.BasicLit)
-		if !ok || lit.Value != "2" {
-			t.Errorf("surviving def rhs = %v, want the literal 2", defs[0].rec.rhs)
-		}
-	})
-	t.Run("branch merge keeps both defs", func(t *testing.T) {
-		_, defs := run("defsMerge")
-		if len(defs) != 2 {
-			t.Errorf("reaching defs = %d, want 2 (init and then-branch)", len(defs))
-		}
-	})
-	t.Run("address-taken def is opaque", func(t *testing.T) {
-		_, defs := run("defsOpaque")
-		if len(defs) != 1 || !defs[0].rec.opaque {
-			t.Errorf("reaching defs = %+v, want one opaque def at the & site", defs)
-		}
-	})
-	t.Run("parameter has no in-graph defs", func(t *testing.T) {
-		_, defs := run("defsParam")
-		if len(defs) != 0 {
-			t.Errorf("reaching defs = %d, want 0 (defined outside the graph)", len(defs))
-		}
-	})
-	t.Run("loop-carried def joins the init def", func(t *testing.T) {
-		_, defs := run("defsLoop")
-		if len(defs) != 2 {
-			t.Errorf("reaching defs = %d, want 2 (zero-trip init and loop body)", len(defs))
-		}
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // defuse.go is the SSA-lite layer: an AST-level reaching-definitions
@@ -459,47 +458,4 @@ func isConstRhs(pkg *Package, e ast.Expr) bool {
 		return tv.Value != nil
 	}
 	return false
-}
-
-// scratchTyped reports whether the expression's chain mentions a
-// value whose named type advertises pooled scratch ("Scratch" /
-// "scratch" in the type name) — used by hotalloc to exempt appends
-// into arena-backed storage.
-func scratchTyped(pkg *Package, e ast.Expr) bool {
-	for {
-		switch ex := ast.Unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.SliceExpr:
-			if named := namedTypeOf(pkg.typeOf(e)); named != "" && strings.Contains(strings.ToLower(named), "scratch") {
-				return true
-			}
-			switch x := ex.(type) {
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			default:
-				return false
-			}
-		default:
-			return false
-		}
-	}
-}
-
-func namedTypeOf(t types.Type) string {
-	for t != nil {
-		switch tt := t.(type) {
-		case *types.Named:
-			return tt.Obj().Name()
-		case *types.Pointer:
-			t = tt.Elem()
-		default:
-			return ""
-		}
-	}
-	return ""
 }

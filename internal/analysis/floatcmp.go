@@ -179,3 +179,20 @@ func isInfSentinel(e ast.Expr) bool {
 	}
 	return false
 }
+
+func isSortCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	return pkg.Name == "sort" || pkg.Name == "slices"
+}
+
+func isConstExpr(pass *Pass, e ast.Expr) bool {
+	tv, ok := pass.Pkg.Info.Types[e]
+	return ok && tv.Value != nil
+}

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// replint honors four comment directives:
+// replint honors two comment directives:
 //
 //	//replint:ignore rule1,rule2 -- reason
 //	    Suppresses findings of the listed rules. A trailing comment
@@ -21,19 +21,7 @@ import (
 //	    one of the blessed comparison helpers: exact float comparisons
 //	    inside it are allowed (see the floatcmp rule).
 //
-//	//replint:metadata -- reason
-//	    Placed on a struct field (doc or trailing comment) or on a type
-//	    declaration, designates the field(s) as sanctioned
-//	    nondeterministic metadata (wall-clock diagnostics): the detflow
-//	    taint engine absorbs values stored into them. The reason is
-//	    mandatory, same as for ignore directives.
-//
-//	//replint:guarded gen=<counter>
-//	    Placed on a struct field (doc or trailing comment), declares
-//	    the field to be generation-guarded derived state: every write
-//	    to it must be post-dominated by a bump of the sibling counter
-//	    field named by gen= before the mutating function returns (see
-//	    the stalegen rule).
+// Any other //replint: comment is reported as a malformed directive.
 
 // directiveRule is the reserved rule ID for malformed directives.
 const directiveRule = "directive"
@@ -43,22 +31,15 @@ var ignoreRE = regexp.MustCompile(`^//replint:ignore\s+([A-Za-z0-9_,]+)\s+--\s+(
 // helperDirective is the marker for designated float-compare helpers.
 const helperDirective = "//replint:floatcmp-helper"
 
-const guardedPrefix = "//replint:guarded"
-
-var guardedRE = regexp.MustCompile(`^//replint:guarded\s+gen=([A-Za-z_][A-Za-z0-9_]*)\s*$`)
-
 // parsedDirective is the outcome of parsing one //replint: comment.
 type parsedDirective struct {
-	// Kind is "ignore", "metadata", "guarded", or "helper" for a
-	// well-formed directive; empty when Err is set.
+	// Kind is "ignore" or "helper" for a well-formed directive; empty
+	// when Err is set.
 	Kind string
 	// Rules holds the rule IDs an ignore directive suppresses.
 	Rules []string
-	// Reason is the justification text of ignore/metadata directives.
+	// Reason is the justification text of an ignore directive.
 	Reason string
-	// Counter is the generation-counter field name of a guarded
-	// directive.
-	Counter string
 	// Err is the malformed-directive message, empty when well-formed.
 	Err string
 }
@@ -72,20 +53,8 @@ func parseDirective(text string) (parsedDirective, bool) {
 	if !strings.HasPrefix(text, "//replint:") {
 		return parsedDirective{}, false
 	}
-	switch {
-	case strings.HasPrefix(text, helperDirective):
+	if strings.HasPrefix(text, helperDirective) {
 		return parsedDirective{Kind: "helper"}, true
-	case strings.HasPrefix(text, metadataPrefix):
-		if !metadataRE.MatchString(text) {
-			return parsedDirective{Err: `malformed replint directive; want "//replint:metadata -- reason"`}, true
-		}
-		return parsedDirective{Kind: "metadata", Reason: strings.TrimSpace(strings.SplitN(text, "--", 2)[1])}, true
-	case strings.HasPrefix(text, guardedPrefix):
-		m := guardedRE.FindStringSubmatch(text)
-		if m == nil {
-			return parsedDirective{Err: `malformed replint directive; want "//replint:guarded gen=<counter field>"`}, true
-		}
-		return parsedDirective{Kind: "guarded", Counter: m[1]}, true
 	}
 	m := ignoreRE.FindStringSubmatch(text)
 	if m == nil {
@@ -131,10 +100,7 @@ func (d *directives) addComment(pkg *Package, c *ast.Comment) {
 		return
 	}
 	if pd.Kind != "ignore" {
-		// helper, metadata, and guarded directives are resolved
-		// structurally (floatcmp, collectMetadataFields,
-		// collectGuardedFields).
-		return
+		return // helper directives are resolved by floatcmp
 	}
 	// An ignore naming a rule that does not exist would sit silently
 	// forever (typo, or a rule renamed after the directive was written);

@@ -11,17 +11,18 @@ import (
 // well-formed ones:
 //
 //   - only //replint:-prefixed comments are directives at all;
-//   - every replint-prefixed comment parses to exactly one of the four
-//     kinds or a malformed-directive error, never silence;
+//   - every replint-prefixed comment parses to exactly one of the two
+//     kinds or a malformed-directive error, never silence; the retired
+//     metadata and guarded forms are malformed;
 //   - a trailing \r (CRLF sources) never changes the verdict;
 //   - well-formed results carry the fields their kind promises, and
 //     parsing never panics on any byte soup.
 func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
-		"//replint:ignore maprange -- iteration order irrelevant here",
-		"//replint:ignore maprange,floatcmp -- two rules, one reason",
-		"//replint:ignore maprange --",
-		"//replint:ignore maprange",
+		"//replint:ignore floatcmp -- bitwise tie is the intended semantics",
+		"//replint:ignore floatcmp,shardwrite -- two rules, one reason",
+		"//replint:ignore floatcmp --",
+		"//replint:ignore floatcmp",
 		"//replint:ignore -- no rules",
 		"//replint:ignore rule -- reason\r",
 		"//replint:metadata -- wall-clock diagnostics only",
@@ -62,6 +63,10 @@ func FuzzParseDirective(f *testing.F) {
 			return
 		}
 
+		if (strings.HasPrefix(trimmed, "//replint:metadata") || strings.HasPrefix(trimmed, "//replint:guarded")) && pd.Err == "" {
+			t.Fatalf("retired directive %q parsed as %q", text, pd.Kind)
+		}
+
 		// Exactly one of (kind, error) — never both, never neither.
 		if (pd.Kind == "") == (pd.Err == "") {
 			t.Fatalf("parse of %q: kind=%q err=%q — want exactly one set", text, pd.Kind, pd.Err)
@@ -76,26 +81,6 @@ func FuzzParseDirective(f *testing.F) {
 				if strings.ContainsAny(r, " \t") {
 					t.Fatalf("rule %q of %q contains whitespace", r, text)
 				}
-			}
-		case "metadata":
-			if pd.Reason == "" {
-				t.Fatalf("metadata directive %q parsed without a reason", text)
-			}
-		case "guarded":
-			if pd.Counter == "" {
-				t.Fatalf("guarded directive %q parsed without a counter", text)
-			}
-			// The counter must be a plausible Go identifier: the field
-			// resolver trusts this shape.
-			for i, r := range pd.Counter {
-				alpha := r == '_' || ('a' <= r && r <= 'z') || ('A' <= r && r <= 'Z')
-				digit := '0' <= r && r <= '9'
-				if !alpha && !(i > 0 && digit) {
-					t.Fatalf("guarded counter %q of %q is not an identifier", pd.Counter, text)
-				}
-			}
-			if strings.Contains(trimmed, "gen="+pd.Counter+" gen=") {
-				t.Fatalf("duplicate gen= keys slipped through in %q", text)
 			}
 		case "helper":
 			// Nothing else promised.
@@ -112,7 +97,7 @@ func FuzzParseDirective(f *testing.F) {
 		// outcome.
 		pd2, ok2 := parseDirective(text + "\r")
 		if ok2 != ok || pd2.Kind != pd.Kind || pd2.Err != pd.Err ||
-			pd2.Counter != pd.Counter || pd2.Reason != pd.Reason ||
+			pd2.Reason != pd.Reason ||
 			strings.Join(pd2.Rules, ",") != strings.Join(pd.Rules, ",") {
 			t.Fatalf("trailing \\r changed verdict for %q: %+v vs %+v", text, pd, pd2)
 		}

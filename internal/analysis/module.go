@@ -4,19 +4,18 @@ import (
 	"go/ast"
 	"go/types"
 	"runtime"
-	"strings"
 	"sync"
 )
 
 // Module is the whole-module analysis context: every package of the
 // module loaded through one Loader, plus the interprocedural summaries
-// the dataflow rules consume — the call graph, per-function def-use
-// tables, the module-wide storage (arithmetic-write) facts, and the
-// determinism-taint solution.
+// the rules consume — the call graph, per-function def-use tables, the
+// module-wide storage (arithmetic-write) facts, the write-through
+// parameter summary, and the cancellation-polling summary.
 //
 // Per-file syntactic rules work from a Pass alone; the interprocedural
-// rules (detflow, ctxstride, hotalloc, shardwrite), the flow-sensitive
-// family and the floatcmp zero-sentinel exemption consult Pass.Mod.
+// rules (ctxstride, shardwrite), the flow-sensitive wgleak and the
+// floatcmp zero-sentinel exemption consult Pass.Mod.
 type Module struct {
 	Loader *Loader
 	// Pkgs are all packages of the module in import-path order.
@@ -30,24 +29,17 @@ type Module struct {
 	byObj  map[*types.Func]*ModFunc
 	byPath map[string]*Package
 
-	cg     *callGraph
-	defuse map[*types.Func]*defUse
-	facts  *storageFacts
-	taint  *taintFacts
-	meta   map[types.Object]bool // //replint:metadata-designated fields
-	polls  map[*types.Func]bool  // transitively polls cancellation
-	hot    map[*types.Func]bool  // reachable from an embed Solve root
+	cg         *callGraph
+	defuse     map[*types.Func]*defUse
+	facts      *storageFacts
+	writeParam map[*types.Func]map[int]bool // see buildWriteParam
+	polls      map[*types.Func]bool         // transitively polls cancellation
 
-	// Flow-sensitive layer: //replint:guarded field→counter pairs (and
-	// their placement issues), noreturn summaries threaded into CFG
-	// construction, the per-body CFG cache, and the lock discipline
-	// facts.
-	guard    map[types.Object]types.Object
-	guardBad map[*Package][]guardIssue
+	// Flow-sensitive layer: noreturn summaries threaded into CFG
+	// construction and the per-body CFG cache.
 	noreturn map[*types.Func]bool
 	cfgs     map[*ast.BlockStmt]*cfg
 	cfgMu    sync.Mutex
-	locks    *lockFactsData
 
 	// impls is the named-type index the call graph resolves interface
 	// calls through.
@@ -89,24 +81,16 @@ func BuildModule(loader *Loader) (*Module, error) {
 		m.byPath[path] = pkg
 	}
 	m.collectFuncs()
-	m.meta = collectMetadataFields(m)
 	for _, f := range m.Funcs {
 		m.defuse[f.Obj] = buildDefUse(f.Pkg, f.Decl)
 	}
 	m.impls = collectImplementations(m)
 	m.cg = buildCallGraph(m)
 	m.facts = buildStorageFacts(m)
-	m.taint = buildTaint(m)
+	m.writeParam = buildWriteParam(m)
 	m.polls = buildPollsSummary(m)
-	m.hot = buildHotSet(m)
 	m.noreturn = buildNoReturn(m)
 	m.cfgs = map[*ast.BlockStmt]*cfg{}
-	m.guard, m.guardBad = collectGuardedFields(m)
-	// The lock facts build here, not on first use: lockorder runs on
-	// every RunPackages worker, and a lazy build would be a shared
-	// write across them. Built eagerly, every module-wide structure is
-	// read-only by the time RunPackages fans out.
-	m.locks = buildLockFacts(m)
 	return m, nil
 }
 
@@ -196,17 +180,6 @@ func (m *Module) RunPackages(paths []string) map[string][]Finding {
 		out[r.path] = r.fs
 	}
 	return out
-}
-
-// relPath strips the module-path prefix off an import path; the
-// package-subtree filters (maprange, hotalloc, the serve JSON sink)
-// match on this module-relative form so they apply identically to the
-// real tree and the fixture module.
-func relPath(path string) string {
-	if i := strings.Index(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return ""
 }
 
 // funcsInPackage returns the module functions declared in pkg, in

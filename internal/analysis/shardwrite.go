@@ -216,11 +216,23 @@ func containsAtomicAdd(pass *Pass, e ast.Expr) bool {
 
 func checkShardWorker(pass *Pass, w *shardWorker) {
 	mod := pass.Mod
-	captured := func(obj types.Object) bool {
-		if obj == nil || obj.Name() == "_" {
-			return false
+	aliases := workerAliases(pass, w.lit)
+	// target resolves a written expression to the captured variable it
+	// reaches, and reports whether some index step on its path is a
+	// shard key. A worker-local alias (`out := &outs[ci]`) stands for
+	// its defining expression, so a write through it is judged on that
+	// expression's root and index steps as well as its own.
+	target := func(e ast.Expr) (types.Object, bool) {
+		root := rootObject(pass, e)
+		indexed := shardIndexed(pass, e, w.keys)
+		if def, ok := aliases[root]; ok {
+			root = rootObject(pass, def)
+			indexed = indexed || shardIndexed(pass, def, w.keys)
 		}
-		return obj.Pos() < w.lit.Pos() || obj.Pos() >= w.lit.End()
+		if root == nil || root.Name() == "_" || (root.Pos() >= w.lit.Pos() && root.Pos() < w.lit.End()) {
+			return nil, false
+		}
+		return root, indexed
 	}
 	ast.Inspect(w.lit.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
@@ -229,11 +241,8 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 				return true
 			}
 			for _, lhs := range st.Lhs {
-				root := rootObject(pass, lhs)
-				if !captured(root) {
-					continue
-				}
-				if shardIndexed(pass, lhs, w.keys) {
+				root, indexed := target(lhs)
+				if root == nil || indexed {
 					continue
 				}
 				pass.Report(lhs.Pos(), shardWriteRule, fmt.Sprintf(
@@ -242,8 +251,7 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 					root.Name(), exprString(lhs)))
 			}
 		case *ast.IncDecStmt:
-			root := rootObject(pass, st.X)
-			if captured(root) && !shardIndexed(pass, st.X, w.keys) {
+			if root, indexed := target(st.X); root != nil && !indexed {
 				pass.Report(st.X.Pos(), shardWriteRule, fmt.Sprintf(
 					"worker shard mutates captured %s without a per-shard index", root.Name()))
 			}
@@ -252,18 +260,18 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 			if callee == nil || mod.byObj[callee] == nil {
 				return true
 			}
-			slots := mod.taint.writeParam[callee]
+			slots := mod.writeParam[callee]
 			if len(slots) == 0 {
 				return true
 			}
 			if slots[-1] {
 				if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok {
-					checkShardArg(pass, w, sel.X, callee, captured)
+					checkShardArg(pass, sel.X, callee, target)
 				}
 			}
 			for i, arg := range st.Args {
 				if slots[i] {
-					checkShardArg(pass, w, arg, callee, captured)
+					checkShardArg(pass, arg, callee, target)
 				}
 			}
 		}
@@ -271,16 +279,48 @@ func checkShardWorker(pass *Pass, w *shardWorker) {
 	})
 }
 
+// workerAliases maps each local the worker literal defines as `x := &p`,
+// or as `x := p` when x is a pointer, slice, map or channel, to the
+// storage path p (identifiers, selectors, index and slice steps and
+// derefs; no calls). Writes through x reach p's storage.
+func workerAliases(pass *Pass, lit *ast.FuncLit) map[types.Object]ast.Expr {
+	out := map[types.Object]ast.Expr{}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := pass.Pkg.Info.Defs[id]
+			if obj == nil {
+				continue
+			}
+			rhs := ast.Unparen(as.Rhs[i])
+			if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				rhs = u.X
+			} else if !referenceLike(obj.Type()) {
+				continue
+			}
+			if syntacticBase(pass.Pkg, rhs) != nil {
+				out[obj] = rhs
+			}
+		}
+		return true
+	})
+	return out
+}
+
 // checkShardArg flags a captured reference handed to a callee that
 // writes through it, unless the argument expression itself is
 // shard-indexed (`&outs[ci]` is fine — the callee writes only this
 // worker's slot).
-func checkShardArg(pass *Pass, w *shardWorker, arg ast.Expr, callee *types.Func, captured func(types.Object) bool) {
-	root := rootObject(pass, deref(arg))
-	if !captured(root) {
-		return
-	}
-	if shardIndexed(pass, deref(arg), w.keys) {
+func checkShardArg(pass *Pass, arg ast.Expr, callee *types.Func, target func(ast.Expr) (types.Object, bool)) {
+	root, indexed := target(deref(arg))
+	if root == nil || indexed {
 		return
 	}
 	pass.Report(arg.Pos(), shardWriteRule, fmt.Sprintf(
@@ -342,4 +382,222 @@ func paramObjects(pass *Pass, lit *ast.FuncLit) map[types.Object]bool {
 		}
 	}
 	return out
+}
+
+// launchedLiteral resolves `go f()` to a function literal: either
+// written in place or bound to a local whose single definition is a
+// literal.
+func launchedLiteral(pkg *Package, decl *ast.FuncDecl, call *ast.CallExpr) *ast.FuncLit {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.FuncLit:
+		return fun
+	case *ast.Ident:
+		obj := pkg.Info.ObjectOf(fun)
+		if obj == nil {
+			return nil
+		}
+		var found *ast.FuncLit
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || pkg.Info.ObjectOf(id) != obj {
+					continue
+				}
+				if lit, ok := as.Rhs[i].(*ast.FuncLit); ok {
+					found = lit
+				}
+			}
+			return true
+		})
+		return found
+	}
+	return nil
+}
+
+// deref unwraps a leading & so the storage root of `&x.f` is x.f.
+func deref(e ast.Expr) ast.Expr {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		return u.X
+	}
+	return e
+}
+
+func referenceLike(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
+		return true
+	}
+	return false
+}
+
+// syntacticBase unwraps selectors, indexes, slices, derefs, and &
+// down to the base identifier's object — the storage a *caller* would
+// say the expression is rooted at. Unlike storageRoot it never
+// resolves a selector to its field object, so the result is
+// comparable against receiver/parameter objects.
+func syntacticBase(pkg *Package, e ast.Expr) types.Object {
+	for {
+		switch ex := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return pkg.Info.ObjectOf(ex)
+		case *ast.SelectorExpr:
+			e = ex.X
+		case *ast.IndexExpr:
+			e = ex.X
+		case *ast.SliceExpr:
+			e = ex.X
+		case *ast.StarExpr:
+			e = ex.X
+		case *ast.UnaryExpr:
+			if ex.Op != token.AND {
+				return nil
+			}
+			e = ex.X
+		default:
+			return nil
+		}
+	}
+}
+
+// signatureObjects returns the receiver object (nil for functions)
+// and parameter objects of a declared function.
+func signatureObjects(f *ModFunc) (types.Object, []types.Object) {
+	var recv types.Object
+	if f.Decl.Recv != nil {
+		for _, fl := range f.Decl.Recv.List {
+			for _, name := range fl.Names {
+				recv = f.Pkg.Info.Defs[name]
+			}
+		}
+	}
+	var params []types.Object
+	if f.Decl.Type.Params != nil {
+		for _, fl := range f.Decl.Type.Params.List {
+			if len(fl.Names) == 0 {
+				params = append(params, nil) // unnamed parameter
+				continue
+			}
+			for _, name := range fl.Names {
+				params = append(params, f.Pkg.Info.Defs[name])
+			}
+		}
+	}
+	return recv, params
+}
+
+// buildWriteParam computes, for every module function, the parameter
+// slots it may write through; slot -1 is the receiver. A function
+// writes through a slot when it assigns to a selector, index or deref
+// rooted at that parameter, directly or through one reference-typed
+// local alias of it (`ns := &r.sols[id]; ns.at[v] = ...`), or when it
+// hands that parameter to a callee slot already in the summary. A
+// bare rebind of the parameter is invisible to the caller and does not
+// count. The summary is the least fixpoint over the module's functions.
+func buildWriteParam(m *Module) map[*types.Func]map[int]bool {
+	w := map[*types.Func]map[int]bool{}
+	changed := true
+	set := func(f *types.Func, slot int) {
+		if w[f] == nil {
+			w[f] = map[int]bool{}
+		}
+		if !w[f][slot] {
+			w[f][slot] = true
+			changed = true
+		}
+	}
+	for pass := 0; pass < 40 && changed; pass++ {
+		changed = false
+		for _, f := range m.Funcs {
+			ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
+				switch st := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range st.Lhs {
+						if _, ok := ast.Unparen(lhs).(*ast.Ident); ok || storageRoot(f.Pkg, lhs) == nil {
+							continue
+						}
+						if slot, ok := paramSlot(m, f, syntacticBase(f.Pkg, lhs)); ok {
+							set(f.Obj, slot)
+						}
+					}
+				case *ast.CallExpr:
+					callee := calleeFunc(f.Pkg, st)
+					mf := m.byObj[callee]
+					if mf == nil {
+						return true
+					}
+					lift := func(arg ast.Expr, slot int) {
+						if !w[callee][slot] {
+							return
+						}
+						if mine, ok := paramSlot(m, f, syntacticBase(f.Pkg, arg)); ok {
+							set(f.Obj, mine)
+						}
+					}
+					recv, params := signatureObjects(mf)
+					if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok && recv != nil {
+						lift(sel.X, -1)
+					}
+					for i, arg := range st.Args {
+						if i >= len(params) {
+							// Variadic tail: the last parameter.
+							if len(params) == 0 {
+								break
+							}
+							i = len(params) - 1
+						}
+						if params[i] != nil {
+							lift(arg, i)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return w
+}
+
+// paramSlot classifies obj as one of f's parameter slots (-1 for the
+// receiver), directly or through one local whose definition is a
+// reference-typed expression rooted at the parameter; a value copy
+// severs the link.
+func paramSlot(m *Module, f *ModFunc, obj types.Object) (int, bool) {
+	if obj == nil {
+		return 0, false
+	}
+	recv, params := signatureObjects(f)
+	classify := func(o types.Object) (int, bool) {
+		if o == recv && recv != nil {
+			return -1, true
+		}
+		for i, p := range params {
+			if o == p && p != nil {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	if slot, ok := classify(obj); ok {
+		return slot, true
+	}
+	du := m.defuse[f.Obj]
+	if du == nil {
+		return 0, false
+	}
+	for _, rec := range du.defs[obj] {
+		if rec.rhs == nil || !referenceLike(f.Pkg.typeOf(rec.rhs)) {
+			continue
+		}
+		if slot, ok := classify(syntacticBase(f.Pkg, rec.rhs)); ok {
+			return slot, true
+		}
+	}
+	return 0, false
 }

@@ -225,3 +225,59 @@ func (w *watcher) watch(id string, ok func() bool) {
 		}
 	}()
 }
+
+// shard is one join worker's private output.
+type shard struct {
+	seeds []int
+	pool  []int32
+}
+
+// fill writes through its pool parameter, so handing it a captured
+// reference is a write the caller's worker makes.
+func fill(pool *[]int32, seeds []int, v int) []int {
+	*pool = append(*pool, int32(v))
+	return append(seeds, v)
+}
+
+// aliasedClaims is the parallel-join worker with its claimed slot bound
+// to a local first: `out := &outs[ci]` is indexed by the atomic claim,
+// so writes through out are disjoint across workers.
+func aliasedClaims(n int) []shard {
+	var next atomic.Int64
+	outs := make([]shard, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ci := int(next.Add(1)) - 1
+				if ci >= n {
+					return
+				}
+				out := &outs[ci]
+				out.seeds = fill(&out.pool, out.seeds, ci)
+			}
+		}()
+	}
+	wg.Wait()
+	return outs
+}
+
+// aliasedFixedSlot binds every worker to slot 0 through a local alias:
+// the same shared write as `outs[0].seeds = fill(&outs[0].pool, ...)`,
+// hidden behind out.
+func aliasedFixedSlot(n int) []shard {
+	outs := make([]shard, 1)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := &outs[0]
+			out.seeds = fill(&out.pool, out.seeds, w) // want shardwrite
+		}()
+	}
+	wg.Wait()
+	return outs
+}

@@ -79,3 +79,13 @@ func staleDirective(a, b float64) bool {
 	//replint:ignore floatcompare -- fixture: suppression left behind by a rule rename // want directive
 	return a == b // want floatcmp
 }
+
+// retired carries the directive kinds of deleted rules: the detflow
+// metadata marker and the stalegen generation guard. Neither is a
+// directive any more, so both are reported instead of ignored.
+type retired struct {
+	//replint:metadata -- fixture: wall-clock telemetry // want directive
+	started int64
+	cache   []int //replint:guarded gen=gen // want directive
+	gen     uint64
+}

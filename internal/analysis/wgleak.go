@@ -338,3 +338,30 @@ func joinedByChannel(pass *Pass, mod *Module, f *ModFunc, fc flowCtx, bodyPkg *P
 	}
 	return false
 }
+
+// syncCall identifies a method call on a type from package sync,
+// returning the receiver type name, the method name, and the receiver
+// expression; empty strings otherwise.
+func syncCall(pkg *Package, call *ast.CallExpr) (typ, method string, recv ast.Expr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", nil
+	}
+	f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || f.Pkg() == nil || f.Pkg().Path() != "sync" {
+		return "", "", nil
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return "", "", nil
+	}
+	rt := sig.Recv().Type()
+	if p, isPtr := rt.(*types.Pointer); isPtr {
+		rt = p.Elem()
+	}
+	named, ok := rt.(*types.Named)
+	if !ok {
+		return "", "", nil
+	}
+	return named.Obj().Name(), f.Name(), sel.X
+}

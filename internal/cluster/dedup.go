@@ -14,7 +14,7 @@ import (
 // byte-for-byte the result its own execution would have produced.
 type Dedup struct {
 	mu       sync.Mutex
-	inflight map[Hash]string //replint:guarded gen=gen
+	inflight map[Hash]string
 	// gen advances on every inflight-set mutation, so snapshots can
 	// key their validity on it.
 	gen uint64

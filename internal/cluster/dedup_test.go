@@ -91,3 +91,25 @@ func TestDedupSingleflight(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupGen pins the generation contract on the in-flight set: a
+// registering Claim and every Done advance gen; a coalesced Claim and
+// a failed submit leave it alone.
+func TestDedupGen(t *testing.T) {
+	d := NewDedup()
+	check := func(step string, want uint64) {
+		t.Helper()
+		if d.gen != want {
+			t.Fatalf("after %s: gen = %d, want %d", step, d.gen, want)
+		}
+	}
+	submit := func() (string, error) { return "j1", nil }
+	d.Claim(testHash(1), submit)
+	check("registering Claim", 1)
+	d.Claim(testHash(1), submit)
+	check("coalesced Claim", 1)
+	d.Claim(testHash(2), func() (string, error) { return "", errors.New("queue full") })
+	check("failed submit", 1)
+	d.Done(testHash(1))
+	check("Done", 2)
+}

@@ -43,7 +43,7 @@ type Store interface {
 // MemStore is the in-memory Store.
 type MemStore struct {
 	mu   sync.RWMutex
-	recs map[Hash]Record //replint:guarded gen=epoch
+	recs map[Hash]Record
 	// epoch advances on every applied mutation; readers that cache
 	// derived views key their validity on it.
 	epoch uint64

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -232,5 +234,120 @@ func TestDiskStoreTornTail(t *testing.T) {
 				t.Fatalf("Put after recovery applied=%v err=%v", applied, err)
 			}
 		})
+	}
+}
+
+// TestMemStoreEpoch pins the epoch contract that readers caching views
+// of the store key on: every applied Put advances it, and a rejected
+// stale Put leaves it alone.
+func TestMemStoreEpoch(t *testing.T) {
+	s := NewMemStore()
+	h := testHash(1)
+	for _, step := range []struct {
+		version uint64
+		applied bool
+		epoch   uint64
+	}{{1, true, 1}, {1, false, 1}, {3, true, 2}, {2, false, 2}} {
+		applied, err := s.Put(Record{Hash: h, Version: step.version})
+		if err != nil || applied != step.applied || s.epoch != step.epoch {
+			t.Fatalf("Put v%d: applied=%v err=%v epoch=%d, want applied=%v epoch=%d",
+				step.version, applied, err, s.epoch, step.applied, step.epoch)
+		}
+	}
+}
+
+// TestDiskStoreReadersDuringAppends runs readers of every kind against
+// a disk store whose writers keep appending. A reader that takes the
+// store's locks in the opposite order to Put deadlocks here within a
+// few thousand operations; the watchdog turns that hang into a failure.
+func TestDiskStoreReadersDuringAppends(t *testing.T) {
+	s, err := OpenDiskStore(filepath.Join(t.TempDir(), "results.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	watchdog := time.AfterFunc(30*time.Second, func() { panic("disk store readers and writers deadlocked") })
+	defer watchdog.Stop()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				if _, err := s.Put(doneRec(testHash(i%16), uint64(g*5000+i), "n")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				s.Len()
+				s.Hashes()
+				if _, _, err := s.Get(testHash(i % 16)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDiskStoreAppendFailure makes every log append fail (the log file
+// is closed under the store) while readers run. Put must report the
+// error with the record applied to the index; under -race, any index
+// access on the failure path that skips the index lock is reported
+// against the concurrent readers.
+func TestDiskStoreAppendFailure(t *testing.T) {
+	s, err := OpenDiskStore(filepath.Join(t.TempDir(), "results.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.f.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Get(testHash(i % 8))
+				s.Len()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		applied, err := s.Put(doneRec(testHash(i%8), uint64(i+1), "n"))
+		if !applied || err == nil {
+			t.Fatalf("Put %d on a closed log: applied=%v err=%v, want applied with an error", i, applied, err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestOpenDiskStoreReplayFailureCloses opens a "log" whose replay
+// fails (a character device cannot be truncated) and checks that the
+// failed opens leave no file descriptor behind. GC is off so no
+// finalizer closes a leaked file first.
+func TestOpenDiskStoreReplayFailureCloses(t *testing.T) {
+	fds, err := os.ReadDir("/dev/fd")
+	if err != nil {
+		t.Skipf("no /dev/fd to count descriptors: %v", err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := len(fds)
+	for i := 0; i < 8; i++ {
+		if s, err := OpenDiskStore(os.DevNull); err == nil {
+			s.Close()
+			t.Skip("replay did not fail on the null device")
+		}
+	}
+	fds, err = os.ReadDir("/dev/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fds) > before {
+		t.Fatalf("8 failed opens left %d more open descriptors", len(fds)-before)
 	}
 }

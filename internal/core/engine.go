@@ -151,8 +151,6 @@ type IterStat struct {
 // solution selection (embed), netlist+placement mutation and
 // unification (apply), and timing-driven legalization (legalize).
 // Serving layers surface these as per-job breakdowns.
-//
-//replint:metadata -- wall-clock telemetry by design; no solver decision reads it
 type PhaseTimes struct {
 	Analyze  float64 `json:"analyze"`
 	Extract  float64 `json:"extract"`
@@ -188,8 +186,6 @@ type Stats struct {
 // IncrementalStats aggregates the incremental engine's counters across
 // one run: the dirty-region STA, the SPT cache, and the
 // embedding-frontier cache. Serving layers surface these per job.
-//
-//replint:metadata -- reuse telemetry by design; no solver decision reads it
 type IncrementalStats struct {
 	// Dirty-region STA: incremental updates applied, full recomputes
 	// (first pass + fallbacks), threshold fallbacks, cumulative dirty
@@ -792,8 +788,8 @@ func (e *Engine) trimMembers(spt *timing.SPT, members map[netlist.CellID]bool) {
 		return d
 	}
 	// Iterate members in sorted-ID order: map order must never reach
-	// an ordered decision (replint:maprange), and depthOf memoization
-	// plus the selection below both consume this sequence.
+	// an ordered decision (TestTrimMembersBreaksTiesByID), and depthOf
+	// memoization plus the selection below both consume this sequence.
 	ids := make([]netlist.CellID, 0, len(members))
 	for id := range members {
 		ids = append(ids, id)
@@ -836,7 +832,7 @@ func (e *Engine) trimMembers(spt *timing.SPT, members map[netlist.CellID]bool) {
 	// the sorted ID slice, not the map — the per-pass delete order
 	// affects how fast the fixpoint converges, and ranging keep while
 	// deleting from it under a condition that reads it is exactly the
-	// shape the maprange rule exists to keep out.
+	// shape that lets map order leak into a result.
 	for changed := true; changed; {
 		changed = false
 		for _, id := range ids {

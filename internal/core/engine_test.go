@@ -488,3 +488,34 @@ func TestElmoreModeEngine(t *testing.T) {
 		t.Errorf("Elmore-mode engine worsened period %v -> %v", before, st.FinalPeriod)
 	}
 }
+
+// TestTrimMembersBreaksTiesByID trims a star of equally critical fanins
+// at equal depth. The cap must keep the lowest cell IDs whatever order
+// the member map iterates in, so the tree never depends on map order.
+func TestTrimMembersBreaksTiesByID(t *testing.T) {
+	spt := &timing.SPT{
+		Sink:        0,
+		Parent:      map[netlist.CellID]netlist.CellID{},
+		PathThrough: map[netlist.CellID]float64{},
+	}
+	for id := netlist.CellID(1); id <= 16; id++ {
+		spt.Parent[id] = 0
+		spt.PathThrough[id] = 5
+	}
+	e := &Engine{Config: Config{MaxTreeInternal: 4}}
+	for trial := 0; trial < 20; trial++ {
+		members := map[netlist.CellID]bool{0: true}
+		for id := range spt.Parent {
+			members[id] = true
+		}
+		e.trimMembers(spt, members)
+		if len(members) != 5 {
+			t.Fatalf("trial %d: kept %d members, want the sink and 4 cells", trial, len(members))
+		}
+		for id := netlist.CellID(0); id <= 4; id++ {
+			if !members[id] {
+				t.Fatalf("trial %d: cell %d dropped; ties must keep the lowest IDs, kept %v", trial, id, members)
+			}
+		}
+	}
+}

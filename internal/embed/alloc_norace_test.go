@@ -44,6 +44,50 @@ func TestSolveAllocsPerNode(t *testing.T) {
 	t.Logf("%.0f allocs per Solve: %d nodes, %d accepted solutions", allocs, nodes, accepted)
 }
 
+// TestSolveInvalidTreeKeepsScratch alternates a Solve its tree
+// validation rejects with a warmed valid one. The rejection must leave
+// the pooled scratch in the pool: the valid solve stays within
+// TestSolveAllocsPerNode's bound instead of growing a fresh scratch.
+func TestSolveInvalidTreeKeepsScratch(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := randomProblem(3, 12, 12, 6, Mode{LexDepth: 1}, false)
+	bad := *p
+	bad.T = cloneTree(p.T)
+	bad.T.Root = -1
+	if _, err := p.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	bound := 4*len(p.T.Nodes) + 16
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := bad.Solve(); err == nil {
+			t.Fatal("a tree with no root solved")
+		}
+		if _, err := p.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(bound) {
+		t.Fatalf("rejected plus warmed Solve: %.0f allocs, want <= %d", allocs, bound)
+	}
+}
+
+// TestFingerprintAllocsNone folds a problem's graph, tree and mode
+// into a Hasher, as the engine does on every iteration to key its
+// frontier cache and as the node memo does on every solve. Hashing
+// must not allocate.
+func TestFingerprintAllocsNone(t *testing.T) {
+	p := randomProblem(3, 8, 8, 12, Mode{LexDepth: 3}, false)
+	allocs := testing.AllocsPerRun(20, func() {
+		h := NewHasher()
+		p.G.Fingerprint(&h)
+		p.T.Fingerprint(&h)
+		p.Mode.Fingerprint(&h)
+	})
+	if allocs != 0 {
+		t.Fatalf("fingerprinting a problem allocated %.0f times, want 0", allocs)
+	}
+}
+
 // TestNodeMemoReusesSlabs alternates one warm memo between two problems
 // that share no node (their leaf arrivals differ), so every solve
 // computes every node it does not repeat within itself and releases

@@ -166,12 +166,12 @@ type Cache struct {
 	// The retained-Result map and its FIFO order are generation-guarded:
 	// external snapshots (diagnostics, tests asserting deterministic hit
 	// sequences) are only comparable while gen is unchanged, so every
-	// mutation of either must advance gen before returning (replint's
-	// stalegen rule enforces this). The doorkeeper (seen/seenQ) is not
-	// guarded: it never affects what a Get returns, only future
-	// admission, so its churn is invisible to readers.
-	m     map[Fingerprint]*Result //replint:guarded gen=gen
-	fifo  []Fingerprint           //replint:guarded gen=gen
+	// mutation of either must advance gen before returning (TestCacheGen
+	// and TestCacheGenTracksRetainedSet check this). The doorkeeper
+	// (seen/seenQ) is not guarded: it never affects what a Get returns,
+	// only future admission, so its churn is invisible to readers.
+	m     map[Fingerprint]*Result
+	fifo  []Fingerprint
 	seen  map[Fingerprint]struct{}
 	seenQ []Fingerprint
 	gen   uint64

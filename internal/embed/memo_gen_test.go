@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestCacheGen pins the generation-counter contract the stalegen
-// annotations promise: Gen advances exactly when the retained set (m,
+// TestCacheGen pins the generation-counter contract the Cache's doc
+// comment promises: Gen advances exactly when the retained set (m,
 // fifo) changes — on admission and reset — and never on doorkeeper-only
 // Puts, duplicate Puts, or Gets.
 func TestCacheGen(t *testing.T) {
@@ -58,6 +58,31 @@ func TestCacheGen(t *testing.T) {
 	}
 	if _, ok := c.Get(fp(3)); ok {
 		t.Error("Reset left an entry retrievable")
+	}
+}
+
+// TestCacheGenTracksRetainedSet drives a small cache through a long
+// seeded stream of Puts over more fingerprints than the doorkeeper
+// remembers, with occasional Resets, and checks after every operation
+// that Gen moved whenever the retained set (m and fifo) did. Every
+// branch of Put runs, the doorkeeper's wrap included.
+func TestCacheGenTracksRetainedSet(t *testing.T) {
+	fp := func(i uint64) Fingerprint { return Fingerprint{Hi: i, Lo: ^i} }
+	snapshot := func(c *Cache) string { return fmt.Sprint(c.fifo, len(c.m)) }
+	c := NewCache(2)
+	r := &Result{}
+	x := uint64(1)
+	for op := 0; op < 2000; op++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		before, gen := snapshot(c), c.Gen()
+		if x>>60 == 0 {
+			c.Reset()
+		} else {
+			c.Put(fp(x>>32%40), r)
+		}
+		if snapshot(c) != before && c.Gen() == gen {
+			t.Fatalf("op %d: retained set changed but Gen stayed %d", op, gen)
+		}
 	}
 }
 

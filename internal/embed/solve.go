@@ -444,7 +444,6 @@ func (r *Result) runLevel(nodes []NodeID, workers int, sem chan struct{}) {
 		for _, id := range nodes {
 			wg.Add(1)
 			sem <- struct{}{}
-			//replint:ignore hotalloc -- one launch per tree node, amortized over that node's whole wavefront
 			go func(id NodeID) {
 				defer wg.Done()
 				sc := getScratch()
@@ -641,7 +640,6 @@ func (r *Result) joinParallel(id NodeID, pool *[]int32, seeds []queueItem, worke
 	}
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
-		//replint:ignore hotalloc -- one launch per join worker, amortized over the worker's chunk stream
 		go func() {
 			defer wg.Done()
 			sc := getScratch()
@@ -824,7 +822,7 @@ func pruneCombos2D(in []combo, perm []int32, out []combo, sc *solverScratch) []c
 			}
 			stair := sc.stairs[c]
 			// pos: first step with d0 > x.d0.
-			pos := sort.Search(len(stair), func(j int) bool { return stair[j].d0 > d0 }) //replint:ignore hotalloc -- sort.Search predicate does not escape; the compiler stack-allocates it
+			pos := sort.Search(len(stair), func(j int) bool { return stair[j].d0 > d0 })
 			if pos > 0 && stair[pos-1].peak <= peak {
 				dominated = true
 				break
@@ -853,7 +851,7 @@ func pruneCombos2D(in []combo, perm []int32, out []combo, sc *solverScratch) []c
 			sc.stairs[cls] = sc.stairs[cls][:0]
 		}
 		stair := sc.stairs[cls]
-		pos := sort.Search(len(stair), func(j int) bool { return stair[j].d0 > d0 }) //replint:ignore hotalloc -- sort.Search predicate does not escape; the compiler stack-allocates it
+		pos := sort.Search(len(stair), func(j int) bool { return stair[j].d0 > d0 })
 		j := pos
 		for j < len(stair) && stair[j].peak >= peak {
 			j++

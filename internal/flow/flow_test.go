@@ -168,3 +168,25 @@ func TestAlgorithmStrings(t *testing.T) {
 		t.Error("Mode mapping broken")
 	}
 }
+
+// TestTableRowOrder renders Table III for several algorithms held in
+// a map: its rows must follow the algos argument, never the map's
+// iteration order.
+func TestTableRowOrder(t *testing.T) {
+	algos := []Algorithm{VPRBaseline, LocalRep, RTEmbed, Lex3, Lex5}
+	byAlgo := map[Algorithm][]*Result{}
+	for _, a := range algos {
+		byAlgo[a] = []*Result{{Name: "ex5p", Algorithm: a, Norm: [4]float64{1, 1, 1, 1}}}
+	}
+	for trial := 0; trial < 10; trial++ {
+		t3 := FormatTableIII(byAlgo, algos)
+		last := -1
+		for _, a := range algos {
+			i := strings.Index(t3, "\n"+a.String()+" ")
+			if i <= last {
+				t.Fatalf("Table III rows out of algos order at %s:\n%s", a, t3)
+			}
+			last = i
+		}
+	}
+}

@@ -262,20 +262,15 @@ type Result struct {
 	FFRelocations   int     `json:"ff_relocations"`
 	StoppedEarly    bool    `json:"stopped_early,omitempty"`
 	// Phases is the engine's per-phase wall-clock breakdown.
-	//replint:metadata -- timing telemetry; the solver's outputs never read it back
 	Phases core.PhaseTimes `json:"phases"`
 	// Incremental is the engine's incremental-machinery telemetry:
 	// dirty-cone sizes, STA cells re-propagated, and cache hit/miss
 	// splits for the critical-path and frontier caches.
-	//replint:metadata -- reuse telemetry; the solver's outputs never read it back
 	Incremental core.IncrementalStats `json:"incremental"`
 	// Coarse per-stage seconds for the whole flow.
-	//replint:metadata -- timing telemetry; the solver's outputs never read it back
-	PlaceSeconds float64 `json:"place_seconds"`
-	//replint:metadata -- timing telemetry; the solver's outputs never read it back
+	PlaceSeconds  float64 `json:"place_seconds"`
 	EngineSeconds float64 `json:"engine_seconds"`
-	//replint:metadata -- timing telemetry; the solver's outputs never read it back
-	RouteSeconds float64 `json:"route_seconds,omitempty"`
+	RouteSeconds  float64 `json:"route_seconds,omitempty"`
 	// Routing results (Route jobs only).
 	RoutedCritPath float64 `json:"routed_crit_path,omitempty"`
 	ChannelWidth   int     `json:"channel_width,omitempty"`
@@ -310,17 +305,12 @@ type Status struct {
 	Source   string `json:"source,omitempty"`
 	Node     string `json:"node,omitempty"`
 
-	//replint:metadata -- queue timestamps are job metadata, not solver output
-	SubmittedAt time.Time `json:"submitted_at"`
-	//replint:metadata -- queue timestamps are job metadata, not solver output
-	StartedAt *time.Time `json:"started_at,omitempty"`
-	//replint:metadata -- queue timestamps are job metadata, not solver output
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
+	SubmittedAt time.Time  `json:"submitted_at"`
+	StartedAt   *time.Time `json:"started_at,omitempty"`
+	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	// QueueSeconds and RunSeconds split the job's latency.
-	//replint:metadata -- latency telemetry, not solver output
 	QueueSeconds float64 `json:"queue_seconds"`
-	//replint:metadata -- latency telemetry, not solver output
-	RunSeconds float64 `json:"run_seconds,omitempty"`
+	RunSeconds   float64 `json:"run_seconds,omitempty"`
 
 	Result *Result `json:"result,omitempty"`
 }

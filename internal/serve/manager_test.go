@@ -423,3 +423,30 @@ func TestIDsAreSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueDepthRace reads the queue depth, as every /debug/vars
+// snapshot does, while jobs are submitted and dequeued: under -race, a
+// read of the queue that skips the lock its writers hold is reported.
+// The reader does nothing else, so no other synchronization can order
+// its reads after the writes.
+func TestQueueDepthRace(t *testing.T) {
+	m := NewManager(Config{Workers: 2, QueueDepth: 64, Runner: func(context.Context, JobSpec) (*Result, error) {
+		return &Result{}, nil
+	}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			_ = m.QueueDepth()
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := m.Submit(stubSpec()); err != nil && !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	<-done
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	m.Shutdown(ctx)
+}

@@ -64,36 +64,24 @@ type CounterSnapshot struct {
 	QueueCapacity     int   `json:"queue_capacity"`
 	// Cumulative engine wall seconds and embed-phase seconds across
 	// completed jobs: the live view of where the service spends time.
-	//replint:metadata -- load telemetry; never fed back into a solve
 	EngineSeconds float64 `json:"engine_seconds"`
-	//replint:metadata -- load telemetry; never fed back into a solve
-	EmbedSeconds float64 `json:"embed_seconds"`
+	EmbedSeconds  float64 `json:"embed_seconds"`
 	// Incremental-engine reuse across completed jobs: how many STA
 	// passes were dirty-region updates vs full runs, how many cells
 	// those updates re-propagated, and the cache hit/miss splits for
 	// critical-path trees and embedding frontiers.
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	STAUpdates int64 `json:"sta_updates"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	STAFullRuns int64 `json:"sta_full_runs"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
+	STAUpdates           int64 `json:"sta_updates"`
+	STAFullRuns          int64 `json:"sta_full_runs"`
 	STACellsRepropagated int64 `json:"sta_cells_repropagated"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	SPTPatches int64 `json:"spt_patches"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	SPTRebuilds int64 `json:"spt_rebuilds"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	FrontierHits int64 `json:"frontier_hits"`
-	//replint:metadata -- reuse telemetry; never fed back into a solve
-	FrontierMisses int64 `json:"frontier_misses"`
+	SPTPatches           int64 `json:"spt_patches"`
+	SPTRebuilds          int64 `json:"spt_rebuilds"`
+	FrontierHits         int64 `json:"frontier_hits"`
+	FrontierMisses       int64 `json:"frontier_misses"`
 	// Racing and QoS: raced jobs run, losing variants cancelled before
 	// finishing (the racing latency win), deadline-class admissions.
-	//replint:metadata -- load telemetry; never fed back into a solve
-	Races int64 `json:"races"`
-	//replint:metadata -- load telemetry; never fed back into a solve
+	Races               int64 `json:"races"`
 	RaceLosersCancelled int64 `json:"race_losers_cancelled"`
-	//replint:metadata -- load telemetry; never fed back into a solve
-	JobsDeadline int64 `json:"jobs_deadline"`
+	JobsDeadline        int64 `json:"jobs_deadline"`
 }
 
 // Counters snapshots the manager's counters.

@@ -126,7 +126,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // field-compatible.
 type VarsDoc struct {
 	CounterSnapshot
-	//replint:metadata -- process uptime is introspection, not solver output
 	UptimeSeconds  float64 `json:"uptime_seconds"`
 	Goroutines     int     `json:"goroutines"`
 	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`

