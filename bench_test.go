@@ -284,16 +284,15 @@ func BenchmarkSTA(b *testing.B)         { benchSTA(b, 1) }
 func BenchmarkSTAParallel(b *testing.B) { benchSTA(b, runtime.GOMAXPROCS(0)) }
 
 // benchEngineIterate measures steady-state Fig. 11 iteration latency
-// in the small-perturbation regime the incremental engine targets: the
+// in the small-perturbation regime the frontier memos target: the
 // design is converged once (untimed), then every op nudges the LUT
 // with the most timing slack between two slots and re-optimizes on the
-// same engine — the interactive "move a cell, re-run" loop that
-// ROADMAP open item 3 wants sub-second. The full/incremental pair
-// differ only in Config.Incremental — their outputs are bit-identical
-// (see internal/core TestIncrementalEngineMatchesFull) — so the
-// ms/iter ratio is the pure reuse win of dirty-region STA, SPT
-// patching, and frontier memoization; reuse% reports the
-// frontier-cache hit rate over the measured ops.
+// same engine — the interactive "move a cell, re-run" loop. The
+// full/incremental pair differ only in Config.Incremental — their
+// outputs are bit-identical (see internal/core
+// TestIncrementalEngineMatchesFull) — so the ms/iter ratio is the pure
+// reuse win of frontier memoization; reuse% reports the frontier-cache
+// hit rate over the measured ops.
 func benchEngineIterate(b *testing.B, luts int, incremental bool) {
 	nl := benchNetlist(b, luts)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())

@@ -15,9 +15,6 @@ import (
 type Dedup struct {
 	mu       sync.Mutex
 	inflight map[Hash]string
-	// gen advances on every inflight-set mutation, so snapshots can
-	// key their validity on it.
-	gen uint64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -47,7 +44,6 @@ func (d *Dedup) Claim(h Hash, submit func() (string, error)) (id string, coalesc
 		return "", false, err
 	}
 	d.inflight[h] = id
-	d.gen++
 	d.misses.Add(1)
 	return id, false, nil
 }
@@ -57,7 +53,6 @@ func (d *Dedup) Done(h Hash) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.inflight, h)
-	d.gen++
 }
 
 // Lookup returns the in-flight job ID for h, if any.

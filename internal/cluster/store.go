@@ -44,9 +44,6 @@ type Store interface {
 type MemStore struct {
 	mu   sync.RWMutex
 	recs map[Hash]Record
-	// epoch advances on every applied mutation; readers that cache
-	// derived views key their validity on it.
-	epoch uint64
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -68,7 +65,6 @@ func (s *MemStore) applyLocked(rec Record) bool {
 		return false
 	}
 	s.recs[rec.Hash] = rec
-	s.epoch++
 	return true
 }
 

@@ -237,25 +237,6 @@ func TestDiskStoreTornTail(t *testing.T) {
 	}
 }
 
-// TestMemStoreEpoch pins the epoch contract that readers caching views
-// of the store key on: every applied Put advances it, and a rejected
-// stale Put leaves it alone.
-func TestMemStoreEpoch(t *testing.T) {
-	s := NewMemStore()
-	h := testHash(1)
-	for _, step := range []struct {
-		version uint64
-		applied bool
-		epoch   uint64
-	}{{1, true, 1}, {1, false, 1}, {3, true, 2}, {2, false, 2}} {
-		applied, err := s.Put(Record{Hash: h, Version: step.version})
-		if err != nil || applied != step.applied || s.epoch != step.epoch {
-			t.Fatalf("Put v%d: applied=%v err=%v epoch=%d, want applied=%v epoch=%d",
-				step.version, applied, err, s.epoch, step.applied, step.epoch)
-		}
-	}
-}
-
 // TestDiskStoreReadersDuringAppends runs readers of every kind against
 // a disk store whose writers keep appending. A reader that takes the
 // store's locks in the opposite order to Put deadlocks here within a

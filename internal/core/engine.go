@@ -88,22 +88,16 @@ type Config struct {
 	// phase and the levelized STA. 1 forces the exact serial path;
 	// results are bit-identical at any setting.
 	Parallelism int
-	// Incremental enables the dirty-region iteration engine: STA
-	// re-propagates only through cones affected since the previous
-	// analysis, slowest-paths trees are patched instead of rebuilt,
-	// and solved embedding frontiers are reused when extraction
-	// reproduces a bitwise-identical problem. Results are
-	// Float64bits-identical to the full path at any setting.
+	// Incremental enables frontier memoization: a solved embedding
+	// frontier is reused when extraction reproduces a bitwise-identical
+	// problem, and DP nodes whose subtree inputs repeat are served from
+	// the per-node memo. Results are Float64bits-identical to the
+	// unmemoized path at any setting.
 	Incremental bool
-	// IncrementalMaxDirtyFrac is the dirty-frontier threshold (as a
-	// fraction of live cells) past which an incremental STA update
-	// falls back to the full analyzer; 0 selects the default.
-	IncrementalMaxDirtyFrac float64
-	// VerifyIncremental cross-checks every incremental result — STA
-	// updates, patched SPTs, and frontier-cache hits — against the
-	// from-scratch computation, failing the run on any Float64bits
-	// difference. Debug/CI mode: it costs more than disabling
-	// Incremental entirely.
+	// VerifyIncremental cross-checks every frontier-cache hit and every
+	// solve the node memo served in part against a fresh solve without
+	// either, failing the run on any Float64bits difference. Debug/CI
+	// mode: it costs more than disabling Incremental entirely.
 	VerifyIncremental bool
 	// FrontierCacheSize bounds the embedding-frontier cache (entries);
 	// 0 selects the default.
@@ -178,32 +172,28 @@ type Stats struct {
 	StoppedEarly bool
 	// Phases breaks the run's wall time down by engine phase.
 	Phases PhaseTimes
-	// Incremental reports what the incremental engine reused versus
-	// recomputed (zero when Config.Incremental is off).
+	// Incremental reports the frontier memos' traffic and the analyses
+	// and trees the engine computed (zero when Config.Incremental is
+	// off).
 	Incremental IncrementalStats
 }
 
-// IncrementalStats aggregates the incremental engine's counters across
-// one run: the dirty-region STA, the SPT cache, and the
-// embedding-frontier cache. Serving layers surface these per job.
+// IncrementalStats aggregates the engine's counters over every Run
+// on it so far. Serving layers surface these per job.
 type IncrementalStats struct {
-	// Dirty-region STA: incremental updates applied, full recomputes
-	// (first pass + fallbacks), threshold fallbacks, cumulative dirty
-	// seeds, cells re-propagated by each pass, and the largest
-	// single-update dirty cone.
-	STAUpdates       int `json:"sta_updates"`
-	STAFullRuns      int `json:"sta_full_runs"`
-	STAFallbacks     int `json:"sta_fallbacks"`
-	STASeeds         int `json:"sta_seeds"`
-	STACellsForward  int `json:"sta_cells_forward"`
-	STACellsBackward int `json:"sta_cells_backward"`
-	STAMaxDirty      int `json:"sta_max_dirty"`
-	// SPT cache: trees served unchanged, patched in place, or rebuilt,
-	// and the cumulative cone cells touched by patch sweeps.
-	SPTHits         int `json:"spt_hits"`
-	SPTPatches      int `json:"spt_patches"`
-	SPTRebuilds     int `json:"spt_rebuilds"`
-	SPTPatchedCells int `json:"spt_patched_cells"`
+	// STAFullRuns counts the static timing analyses run and SPTRebuilds
+	// the slowest-paths trees built; every one is computed from scratch.
+	STAFullRuns int `json:"sta_full_runs"`
+	SPTRebuilds int `json:"spt_rebuilds"`
+	// STAUpdates, STAFallbacks, SPTHits and SPTPatches counted the
+	// dirty-region STA and the SPT cache, which were removed; they stay
+	// zero. perfbench's timing.* metrics still read them, so the
+	// benchmark change that drops those metrics removes them too
+	// (ROADMAP, Small follow-ups).
+	STAUpdates   int `json:"sta_updates"`
+	STAFallbacks int `json:"sta_fallbacks"`
+	SPTHits      int `json:"spt_hits"`
+	SPTPatches   int `json:"spt_patches"`
 	// Embedding-frontier cache hits and misses.
 	FrontierHits   int `json:"frontier_hits"`
 	FrontierMisses int `json:"frontier_misses"`
@@ -218,14 +208,12 @@ type Engine struct {
 
 	leg *legal.Legalizer
 
-	// Incremental machinery (nil when Config.Incremental is off):
-	// the dirty-region STA engine, the SPT cache driven by its change
-	// generations, the embedding-frontier cache and the per-node
-	// frontier memo behind it.
-	inc  *timing.Incremental
-	sptc *timing.SPTCache
-	emc  *embed.Cache
-	enm  *embed.NodeMemo
+	// Frontier memos (nil when Config.Incremental is off): the
+	// embedding-frontier cache and the per-node memo behind it.
+	emc *embed.Cache
+	enm *embed.NodeMemo
+	// analyses and trees count the STAs run and SPTs built.
+	analyses, trees int
 
 	// ctx and phases are live only inside RunContext: the run's
 	// cancellation context and the Stats phase accumulator.
@@ -274,8 +262,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 	// A repeated Run on the same engine (re-optimization after the
 	// caller perturbed the design) is a fresh Fig. 11 flow: the ε
 	// schedule restarts from zero exactly as on a new engine. The
-	// incremental caches deliberately survive — their diff/generation
-	// tracking absorbs whatever the caller changed in between.
+	// frontier memos deliberately survive: they key on fingerprints of
+	// every input a solve reads, so nothing the caller changed in
+	// between can make an entry stale.
 	e.eps, e.lastSink, e.dryAtSink = 0, netlist.None, 0
 	a, err := e.analyze()
 	if err != nil {
@@ -367,67 +356,40 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 	return st, nil
 }
 
-// analyze runs STA over the engine's current state with the
-// configured worker count, under the run's context. With
-// Config.Incremental it routes through the dirty-region analyzer,
-// which diffs the state against the previous call and re-propagates
-// only the affected cones; VerifyIncremental additionally re-derives
-// the analysis from scratch and demands bitwise agreement.
+// analyze runs a full STA over the engine's current state with the
+// configured worker count, under the run's context.
 func (e *Engine) analyze() (*timing.Analysis, error) {
 	ctx := e.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer e.timePhase(func(p *PhaseTimes) *float64 { return &p.Analyze })()
-	if !e.Config.Incremental {
-		return timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
-	}
-	e.ensureIncremental()
-	a, err := e.inc.Analyze(ctx, e.Netlist, e.Placement)
-	if err != nil {
-		return nil, err
-	}
-	if e.Config.VerifyIncremental {
-		if err := e.verifyAnalysis(ctx, a); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	e.analyses++
+	return timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
 }
 
-// ensureIncremental lazily constructs the incremental machinery, so
-// Config.Incremental may be set any time before the first analysis.
+// ensureIncremental lazily constructs the frontier memos, so
+// Config.Incremental may be set any time before the first solve.
 func (e *Engine) ensureIncremental() {
-	if e.inc != nil {
+	if e.emc != nil {
 		return
 	}
-	e.inc = timing.NewIncremental(e.Delay, e.Config.Parallelism)
-	e.inc.MaxDirtyFrac = e.Config.IncrementalMaxDirtyFrac
-	e.sptc = timing.NewSPTCache(e.inc, 0)
 	e.emc = embed.NewCache(e.Config.FrontierCacheSize)
 	e.enm = embed.NewNodeMemo()
 }
 
-// harvestIncremental copies the incremental engine's counters into the
-// run's stats.
+// harvestIncremental copies the run's counters into its stats.
 func (e *Engine) harvestIncremental(st *Stats) {
-	if e.inc == nil {
+	if !e.Config.Incremental {
 		return
 	}
 	is := &st.Incremental
-	is.STAUpdates = e.inc.Stats.Updates
-	is.STAFullRuns = e.inc.Stats.FullRuns
-	is.STAFallbacks = e.inc.Stats.Fallbacks
-	is.STASeeds = e.inc.Stats.Seeds
-	is.STACellsForward = e.inc.Stats.CellsForward
-	is.STACellsBackward = e.inc.Stats.CellsBackward
-	is.STAMaxDirty = e.inc.Stats.MaxDirty
-	is.SPTHits = e.sptc.Stats.Hits
-	is.SPTPatches = e.sptc.Stats.Patches
-	is.SPTRebuilds = e.sptc.Stats.Rebuilds
-	is.SPTPatchedCells = e.sptc.Stats.PatchedCells
-	is.FrontierHits = e.emc.Stats.Hits
-	is.FrontierMisses = e.emc.Stats.Misses
+	is.STAFullRuns = e.analyses
+	is.SPTRebuilds = e.trees
+	if e.emc != nil {
+		is.FrontierHits = e.emc.Stats.Hits
+		is.FrontierMisses = e.emc.Stats.Misses
+	}
 }
 
 // timePhase starts a wall-clock measurement charged to the phase field
@@ -480,18 +442,8 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	}
 
 	stopExtract := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Extract })
-	var spt *timing.SPT
-	if e.Config.Incremental && e.sptc != nil {
-		spt = e.sptc.Get(e.Netlist, e.Placement, e.Delay, a, sink)
-		if e.Config.VerifyIncremental {
-			if err := verifySPT(spt, timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, sink)); err != nil {
-				stopExtract()
-				return false, err
-			}
-		}
-	} else {
-		spt = timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, sink)
-	}
+	spt := timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, sink)
+	e.trees++
 	members := spt.Epsilon(e.eps)
 	e.trimMembers(spt, members)
 	rt, err := rtree.Build(e.Netlist, a, spt, members)
@@ -537,7 +489,8 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	// copy (frontier plus extracted embeddings), not res itself.
 	var res *embed.Result
 	var fp embed.Fingerprint
-	if e.Config.Incremental && e.emc != nil {
+	if e.Config.Incremental {
+		e.ensureIncremental()
 		prob.Memo = e.enm
 		fp = e.embedFingerprint(g, ep, rootFree, prob.DelayQuantum)
 		if r, ok := e.emc.Get(fp); ok {

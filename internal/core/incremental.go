@@ -1,12 +1,11 @@
-// Verification and fingerprinting glue for the incremental engine.
+// Verification and fingerprinting glue for the frontier memos.
 //
-// The incremental machinery (dirty-region STA, SPT patching, frontier
-// memoization) is exact by construction: every cached or patched value
-// must be Float64bits-identical to the from-scratch computation. The
-// verify* helpers here enforce that claim at runtime when
-// Config.VerifyIncremental is set, by re-deriving each artifact the
-// slow way and failing the run on the first bitwise divergence — this
-// is the oracle hook the differential harness and CI cross-checks use.
+// Frontier memoization is exact by construction: a frontier-cache hit
+// or a solve the node memo served in part must be Float64bits-identical
+// to a fresh solve. verifyFrontier enforces that claim at runtime when
+// Config.VerifyIncremental is set, by re-solving without either memo
+// and failing the run on the first bitwise divergence — this is the
+// oracle hook the differential harness and CI cross-checks use.
 package core
 
 import (
@@ -14,103 +13,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/embed"
 	"repro/internal/netlist"
 	"repro/internal/rtree"
-	"repro/internal/timing"
 )
-
-// verifyAnalysis re-runs full STA over the current state and demands
-// bitwise agreement with the incremental result. The incremental
-// arrays may be longer than the fresh ones (they grow with netlist
-// capacity and survive restores to smaller clones); the comparison
-// covers the fresh analysis's full range, which spans every cell the
-// current netlist can name.
-func (e *Engine) verifyAnalysis(ctx context.Context, a *timing.Analysis) error {
-	full, err := timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
-	if err != nil {
-		return err
-	}
-	if math.Float64bits(a.Period) != math.Float64bits(full.Period) || a.CritSink != full.CritSink {
-		return fmt.Errorf("core: incremental STA diverged: period %v@%d, full %v@%d",
-			a.Period, a.CritSink, full.Period, full.CritSink)
-	}
-	if math.Float64bits(a.SecondArr) != math.Float64bits(full.SecondArr) || a.SecondSink != full.SecondSink {
-		return fmt.Errorf("core: incremental STA diverged: second %v@%d, full %v@%d",
-			a.SecondArr, a.SecondSink, full.SecondArr, full.SecondSink)
-	}
-	if len(a.Order) != len(full.Order) {
-		return fmt.Errorf("core: incremental STA order length %d, full %d", len(a.Order), len(full.Order))
-	}
-	for i := range full.Order {
-		if a.Order[i] != full.Order[i] {
-			return fmt.Errorf("core: incremental STA order diverged at %d: %d vs %d", i, a.Order[i], full.Order[i])
-		}
-	}
-	if len(a.Arr) < len(full.Arr) {
-		return fmt.Errorf("core: incremental STA arrays shorter than full: %d < %d", len(a.Arr), len(full.Arr))
-	}
-	for i := range full.Arr {
-		if math.Float64bits(a.Arr[i]) != math.Float64bits(full.Arr[i]) {
-			return fmt.Errorf("core: incremental Arr[%d] = %v, full %v", i, a.Arr[i], full.Arr[i])
-		}
-		if math.Float64bits(a.SinkArr[i]) != math.Float64bits(full.SinkArr[i]) {
-			return fmt.Errorf("core: incremental SinkArr[%d] = %v, full %v", i, a.SinkArr[i], full.SinkArr[i])
-		}
-		if math.Float64bits(a.Down[i]) != math.Float64bits(full.Down[i]) {
-			return fmt.Errorf("core: incremental Down[%d] = %v, full %v", i, a.Down[i], full.Down[i])
-		}
-		if math.Float64bits(a.Through[i]) != math.Float64bits(full.Through[i]) {
-			return fmt.Errorf("core: incremental Through[%d] = %v, full %v", i, a.Through[i], full.Through[i])
-		}
-	}
-	return nil
-}
-
-// verifySPT demands the patched tree equal a from-scratch build, key
-// set and bit pattern alike.
-func verifySPT(got, want *timing.SPT) error {
-	if got.Sink != want.Sink {
-		return fmt.Errorf("core: patched SPT sink %d, rebuilt %d", got.Sink, want.Sink)
-	}
-	if math.Float64bits(got.SinkArr) != math.Float64bits(want.SinkArr) {
-		return fmt.Errorf("core: patched SPT sink arrival %v, rebuilt %v", got.SinkArr, want.SinkArr)
-	}
-	if len(got.Parent) != len(want.Parent) {
-		return fmt.Errorf("core: patched SPT has %d parents, rebuilt %d", len(got.Parent), len(want.Parent))
-	}
-	// Visit keys in sorted order so a mismatch always names the same
-	// offender, keeping verify-mode failures comparable across runs.
-	for _, u := range sortedKeys(want.Parent) {
-		p := want.Parent[u]
-		if gp, ok := got.Parent[u]; !ok || gp != p {
-			return fmt.Errorf("core: patched SPT parent[%d] = %d, rebuilt %d", u, gp, p)
-		}
-	}
-	if len(got.PathThrough) != len(want.PathThrough) {
-		return fmt.Errorf("core: patched SPT has %d path-throughs, rebuilt %d", len(got.PathThrough), len(want.PathThrough))
-	}
-	for _, u := range sortedKeys(want.PathThrough) {
-		pt := want.PathThrough[u]
-		gpt, ok := got.PathThrough[u]
-		if !ok || math.Float64bits(gpt) != math.Float64bits(pt) {
-			return fmt.Errorf("core: patched SPT pathThrough[%d] = %v, rebuilt %v", u, gpt, pt)
-		}
-	}
-	return nil
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[netlist.CellID]V) []netlist.CellID {
-	keys := make([]netlist.CellID, 0, len(m))
-	for u := range m {
-		keys = append(keys, u)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
 
 // verifyFrontier re-solves the freshly constructed problem without the
 // node memo and demands that the memoized result — a frontier-cache

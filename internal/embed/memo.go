@@ -163,18 +163,12 @@ type CacheStats struct {
 // a hit. Not safe for concurrent use; each engine owns one.
 type Cache struct {
 	cap int
-	// The retained-Result map and its FIFO order are generation-guarded:
-	// external snapshots (diagnostics, tests asserting deterministic hit
-	// sequences) are only comparable while gen is unchanged, so every
-	// mutation of either must advance gen before returning (TestCacheGen
-	// and TestCacheGenTracksRetainedSet check this). The doorkeeper
-	// (seen/seenQ) is not guarded: it never affects what a Get returns,
-	// only future admission, so its churn is invisible to readers.
+	// m and fifo are the retained Results in admission order; seen and
+	// seenQ are the doorkeeper, which only decides future admission.
 	m     map[Fingerprint]*Result
 	fifo  []Fingerprint
 	seen  map[Fingerprint]struct{}
 	seenQ []Fingerprint
-	gen   uint64
 	Stats CacheStats
 }
 
@@ -236,20 +230,4 @@ func (c *Cache) Put(k Fingerprint, r *Result) {
 	}
 	c.m[k] = r.freeze()
 	c.fifo = append(c.fifo, k)
-	c.gen++
-}
-
-// Gen returns the cache's content generation: it advances on every
-// admission or reset, so two observations with equal Gen saw an
-// identical retained set.
-func (c *Cache) Gen() uint64 { return c.gen }
-
-// Reset drops every entry and the doorkeeper history (used when the
-// engine invalidates all incremental state).
-func (c *Cache) Reset() {
-	clear(c.m)
-	c.fifo = c.fifo[:0]
-	clear(c.seen)
-	c.seenQ = c.seenQ[:0]
-	c.gen++
 }

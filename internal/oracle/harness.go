@@ -110,13 +110,12 @@ func CheckEngine(opt EngineCheckOptions) (*EngineReport, error) {
 	}, nil
 }
 
-// CheckIncremental is the incremental engine's differential oracle:
-// the same placed design optimized with the incremental machinery
-// disabled and enabled must produce bit-identical periods and designs.
-// The incremental run additionally enables Config.VerifyIncremental,
-// so every dirty-region STA update, patched critical-path tree, and
-// memoized embedding frontier inside the run is re-derived from
-// scratch and checked bitwise as it happens.
+// CheckIncremental is the frontier memos' differential oracle: the
+// same placed design optimized with Config.Incremental off and on must
+// produce bit-identical periods and designs. The memoized run
+// additionally enables Config.VerifyIncremental, so every
+// frontier-cache hit and every solve the node memo served in part is
+// re-solved from scratch and checked bitwise as it happens.
 func CheckIncremental(opt EngineCheckOptions) (*core.Stats, error) {
 	nl, err := circuits.Generate(opt.Spec)
 	if err != nil {

@@ -66,11 +66,10 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalDifferential pins the incremental engine's exactness
-// claim end to end: dirty-region STA, patched critical-path trees, and
-// memoized frontiers must reproduce the full engine's optimized design
-// bit for bit, with in-run verification re-deriving every incremental
-// artifact from scratch.
+// TestIncrementalDifferential pins the frontier memos' exactness claim
+// end to end: frontier-cache hits and memo-served solves must
+// reproduce the unmemoized engine's optimized design bit for bit, with
+// in-run verification re-solving every memoized frontier from scratch.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	runs := 4
@@ -95,8 +94,8 @@ func TestIncrementalDifferential(t *testing.T) {
 			t.Fatalf("run %d (seed %d): %v", i, spec.Seed, err)
 		}
 		inc := st.Incremental
-		if inc.STAUpdates+inc.STAFullRuns+inc.STAFallbacks == 0 {
-			t.Fatalf("run %d: incremental run recorded no STA activity: %+v", i, inc)
+		if inc.FrontierHits+inc.FrontierMisses == 0 {
+			t.Fatalf("run %d: incremental run recorded no frontier activity: %+v", i, inc)
 		}
 	}
 }

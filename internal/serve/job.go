@@ -263,9 +263,8 @@ type Result struct {
 	StoppedEarly    bool    `json:"stopped_early,omitempty"`
 	// Phases is the engine's per-phase wall-clock breakdown.
 	Phases core.PhaseTimes `json:"phases"`
-	// Incremental is the engine's incremental-machinery telemetry:
-	// dirty-cone sizes, STA cells re-propagated, and cache hit/miss
-	// splits for the critical-path and frontier caches.
+	// Incremental is the engine's memo telemetry: frontier-cache hits
+	// and misses, and the analyses and trees the run computed.
 	Incremental core.IncrementalStats `json:"incremental"`
 	// Coarse per-stage seconds for the whole flow.
 	PlaceSeconds  float64 `json:"place_seconds"`

@@ -379,11 +379,6 @@ func (m *Manager) runOne(j *job) {
 			m.c.engineSeconds.add(res.EngineSeconds)
 			m.c.embedSeconds.add(res.Phases.Embed)
 			inc := &res.Incremental
-			m.c.staUpdates.Add(int64(inc.STAUpdates))
-			m.c.staFullRuns.Add(int64(inc.STAFullRuns))
-			m.c.staCells.Add(int64(inc.STACellsForward + inc.STACellsBackward))
-			m.c.sptPatches.Add(int64(inc.SPTPatches))
-			m.c.sptRebuilds.Add(int64(inc.SPTRebuilds))
 			m.c.frontierHits.Add(int64(inc.FrontierHits))
 			m.c.frontierMisses.Add(int64(inc.FrontierMisses))
 		}

@@ -33,13 +33,8 @@ type counters struct {
 	running       atomic.Int64
 	engineSeconds atomicFloat
 	embedSeconds  atomicFloat
-	// Incremental-engine reuse counters, accumulated from completed
-	// jobs' engine telemetry.
-	staUpdates     atomic.Int64
-	staFullRuns    atomic.Int64
-	staCells       atomic.Int64
-	sptPatches     atomic.Int64
-	sptRebuilds    atomic.Int64
+	// Frontier-cache counters, accumulated from completed jobs' engine
+	// telemetry.
 	frontierHits   atomic.Int64
 	frontierMisses atomic.Int64
 	// Racing and QoS counters: raced jobs run, losing variants
@@ -66,17 +61,9 @@ type CounterSnapshot struct {
 	// completed jobs: the live view of where the service spends time.
 	EngineSeconds float64 `json:"engine_seconds"`
 	EmbedSeconds  float64 `json:"embed_seconds"`
-	// Incremental-engine reuse across completed jobs: how many STA
-	// passes were dirty-region updates vs full runs, how many cells
-	// those updates re-propagated, and the cache hit/miss splits for
-	// critical-path trees and embedding frontiers.
-	STAUpdates           int64 `json:"sta_updates"`
-	STAFullRuns          int64 `json:"sta_full_runs"`
-	STACellsRepropagated int64 `json:"sta_cells_repropagated"`
-	SPTPatches           int64 `json:"spt_patches"`
-	SPTRebuilds          int64 `json:"spt_rebuilds"`
-	FrontierHits         int64 `json:"frontier_hits"`
-	FrontierMisses       int64 `json:"frontier_misses"`
+	// Embedding-frontier cache hits and misses across completed jobs.
+	FrontierHits   int64 `json:"frontier_hits"`
+	FrontierMisses int64 `json:"frontier_misses"`
 	// Racing and QoS: raced jobs run, losing variants cancelled before
 	// finishing (the racing latency win), deadline-class admissions.
 	Races               int64 `json:"races"`
@@ -87,28 +74,23 @@ type CounterSnapshot struct {
 // Counters snapshots the manager's counters.
 func (m *Manager) Counters() CounterSnapshot {
 	return CounterSnapshot{
-		JobsAccepted:         m.c.accepted.Load(),
-		JobsRejectedFull:     m.c.rejectedFull.Load(),
-		JobsRejectedDrain:    m.c.rejectedDrain.Load(),
-		JobsCompleted:        m.c.completed.Load(),
-		JobsFailed:           m.c.failed.Load(),
-		JobsCancelled:        m.c.cancelled.Load(),
-		JobPanics:            m.c.panics.Load(),
-		WorkersBusy:          m.c.running.Load(),
-		Workers:              m.cfg.Workers,
-		QueueDepth:           m.QueueDepth(),
-		QueueCapacity:        m.cfg.QueueDepth,
-		EngineSeconds:        m.c.engineSeconds.load(),
-		EmbedSeconds:         m.c.embedSeconds.load(),
-		STAUpdates:           m.c.staUpdates.Load(),
-		STAFullRuns:          m.c.staFullRuns.Load(),
-		STACellsRepropagated: m.c.staCells.Load(),
-		SPTPatches:           m.c.sptPatches.Load(),
-		SPTRebuilds:          m.c.sptRebuilds.Load(),
-		FrontierHits:         m.c.frontierHits.Load(),
-		FrontierMisses:       m.c.frontierMisses.Load(),
-		Races:                m.c.races.Load(),
-		RaceLosersCancelled:  m.c.raceCancelled.Load(),
-		JobsDeadline:         m.c.deadlineAccepted.Load(),
+		JobsAccepted:        m.c.accepted.Load(),
+		JobsRejectedFull:    m.c.rejectedFull.Load(),
+		JobsRejectedDrain:   m.c.rejectedDrain.Load(),
+		JobsCompleted:       m.c.completed.Load(),
+		JobsFailed:          m.c.failed.Load(),
+		JobsCancelled:       m.c.cancelled.Load(),
+		JobPanics:           m.c.panics.Load(),
+		WorkersBusy:         m.c.running.Load(),
+		Workers:             m.cfg.Workers,
+		QueueDepth:          m.QueueDepth(),
+		QueueCapacity:       m.cfg.QueueDepth,
+		EngineSeconds:       m.c.engineSeconds.load(),
+		EmbedSeconds:        m.c.embedSeconds.load(),
+		FrontierHits:        m.c.frontierHits.Load(),
+		FrontierMisses:      m.c.frontierMisses.Load(),
+		Races:               m.c.races.Load(),
+		RaceLosersCancelled: m.c.raceCancelled.Load(),
+		JobsDeadline:        m.c.deadlineAccepted.Load(),
 	}
 }

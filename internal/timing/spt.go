@@ -28,15 +28,6 @@ type SPT struct {
 // BuildSPT derives the slowest-paths tree for the given sink from a
 // completed analysis.
 func BuildSPT(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, a *Analysis, sink netlist.CellID) *SPT {
-	s, _, _, _ := buildSPT(nl, pl, dm, a, sink)
-	return s
-}
-
-// buildSPT is BuildSPT exposing its intermediates — the cone-restricted
-// downstream delays, the cone, and the cone cells in topological order
-// — which the SPT cache retains to patch the tree incrementally.
-func buildSPT(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, a *Analysis, sink netlist.CellID) (
-	*SPT, map[netlist.CellID]float64, map[netlist.CellID]bool, []netlist.CellID) {
 	cone := nl.FaninCone(sink)
 	s := &SPT{
 		Sink:        sink,
@@ -51,18 +42,38 @@ func buildSPT(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, a *Analysis, 
 	s.PathThrough[sink] = a.SinkArr[sink]
 
 	order := a.Order
-	coneOrder := make([]netlist.CellID, 0, len(cone))
-	for _, u := range order {
-		if cone[u] {
-			coneOrder = append(coneOrder, u)
-		}
-	}
-	for i := len(coneOrder) - 1; i >= 0; i-- {
-		u := coneOrder[i]
-		if u == sink {
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		if u == sink || !cone[u] {
 			continue
 		}
-		best, bestV := sptDown(nl, pl, dm, cone, downT, u, sink)
+		uc := nl.Cell(u)
+		if uc.Out == netlist.None {
+			continue
+		}
+		best := math.Inf(-1)
+		var bestV netlist.CellID = netlist.None
+		for _, p := range nl.Net(uc.Out).Sinks {
+			v := p.Cell
+			if !cone[v] {
+				continue
+			}
+			wire := dm.WireDelay(arch.Dist(pl.Loc(u), pl.Loc(v)))
+			var tail float64
+			if v == sink {
+				tail = wire + Intrinsic(dm, nl.Cell(v))
+			} else {
+				dv, ok := downT[v]
+				if !ok {
+					continue
+				}
+				tail = wire + dm.LUTDelay + dv
+			}
+			if tail > best {
+				best = tail
+				bestV = v
+			}
+		}
 		if bestV == netlist.None {
 			continue // u does not reach the sink combinationally
 		}
@@ -70,44 +81,7 @@ func buildSPT(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, a *Analysis, 
 		s.Parent[u] = bestV
 		s.PathThrough[u] = a.Arr[u] + best
 	}
-	return s, downT, cone, coneOrder
-}
-
-// sptDown is the per-cell SPT kernel: the worst cone-internal delay
-// from u's output to the sink's path end, and the fanout realizing it.
-// Shared by the full build and the cache's patch sweep so both compute
-// bitwise-identical values.
-func sptDown(nl *netlist.Netlist, pl Locator, dm arch.DelayModel,
-	cone map[netlist.CellID]bool, downT map[netlist.CellID]float64,
-	u, sink netlist.CellID) (float64, netlist.CellID) {
-	uc := nl.Cell(u)
-	if uc.Out == netlist.None {
-		return math.Inf(-1), netlist.None
-	}
-	best := math.Inf(-1)
-	var bestV netlist.CellID = netlist.None
-	for _, p := range nl.Net(uc.Out).Sinks {
-		v := p.Cell
-		if !cone[v] {
-			continue
-		}
-		wire := dm.WireDelay(arch.Dist(pl.Loc(u), pl.Loc(v)))
-		var tail float64
-		if v == sink {
-			tail = wire + Intrinsic(dm, nl.Cell(v))
-		} else {
-			dv, ok := downT[v]
-			if !ok {
-				continue
-			}
-			tail = wire + dm.LUTDelay + dv
-		}
-		if tail > best {
-			best = tail
-			bestV = v
-		}
-	}
-	return best, bestV
+	return s
 }
 
 // Epsilon returns the node set of the ε-SPT: the sink plus every cone

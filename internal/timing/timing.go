@@ -45,8 +45,8 @@ type Analysis struct {
 	CritSink netlist.CellID
 	// SecondArr is the worst sink arrival excluding CritSink
 	// (math.Inf(-1) when no other sink exists). The engine's selection
-	// bound needs it, and folding it into the period reduction keeps it
-	// free for both the full and incremental passes.
+	// bound needs it, and folding it into the period reduction gets it
+	// for free.
 	SecondArr float64
 	// SecondSink is the sink realizing SecondArr.
 	SecondSink netlist.CellID
@@ -168,14 +168,10 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 		a.Through[i] = math.Inf(-1)
 	}
 
-	// The per-cell kernels are shared with the incremental engine
-	// (incremental.go): evaluating the same float expressions in the
-	// same order is what makes incremental results Float64bits-identical
-	// to a from-scratch pass.
+	// The serial and levelized paths run the same per-cell kernels, so
+	// they evaluate the same float expressions in the same order and
+	// agree bit for bit.
 	p := &pass{nl: nl, wireOf: wireOf, dm: dm, a: a}
-	forward := p.forward
-	regArr := p.regArr
-	backward := p.backward
 
 	var regs []netlist.CellID
 	for _, id := range order {
@@ -189,16 +185,16 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 			if i%ctxCheckStride == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			forward(id)
+			p.forward(id)
 		}
 		for _, id := range regs {
-			regArr(id)
+			p.regArr(id)
 		}
 		for i := len(order) - 1; i >= 0; i-- {
 			if i%ctxCheckStride == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			backward(order[i])
+			p.backward(order[i])
 		}
 	} else {
 		// Levelized parallel passes: all cells of one level depend
@@ -206,19 +202,19 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 		// the backward pass), so each level fans out across workers.
 		// Cancellation is checked between levels: a level's workers
 		// always run to completion, so no goroutine outlives the call.
-		levels, _ := levelize(nl, order)
+		levels := levelize(nl, order)
 		for _, lv := range levels {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			runLevel(lv, workers, forward)
+			runLevel(lv, workers, p.forward)
 		}
-		runLevel(regs, workers, regArr)
+		runLevel(regs, workers, p.regArr)
 		for i := len(levels) - 1; i >= 0; i-- {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			runLevel(levels[i], workers, backward)
+			runLevel(levels[i], workers, p.backward)
 		}
 	}
 
@@ -233,14 +229,10 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 }
 
 // pass bundles the inputs of one STA evaluation. Its methods are the
-// per-cell kernels shared by the full analyzer and the incremental
-// engine: each kernel recomputes its cell's outputs from scratch with
-// a fixed float expression order, so re-running a kernel over
-// bitwise-unchanged inputs reproduces bitwise-unchanged outputs — the
-// exactness contract the incremental path is built on. Every kernel
-// writes all of its cell's outputs (assigning the defaults explicitly
-// where the original closures relied on array initialization), which
-// makes the kernels idempotent under repeated application.
+// per-cell kernels the serial and levelized paths share: each computes
+// its cell's outputs with a fixed float expression order from values
+// of earlier (forward) or later (backward) cells only, which is what
+// lets a level's cells run concurrently with bit-identical results.
 type pass struct {
 	nl     *netlist.Netlist
 	wireOf WireDelayFunc
@@ -349,9 +341,8 @@ func (p *pass) backward(id netlist.CellID) {
 // reducePeriod recomputes Period/CritSink and the runner-up
 // SecondArr/SecondSink by scanning sink arrivals over ids in
 // topological order (first sink to strictly exceed the running maximum
-// wins), so serial, parallel, and incremental passes agree on
-// tie-breaking. Non-sinks carry SinkArr = -Inf and are skipped, so
-// passing the full order or just the sinks in order is equivalent.
+// wins), so serial and parallel passes agree on tie-breaking.
+// Non-sinks carry SinkArr = -Inf and are skipped.
 func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 	a.Period = math.Inf(-1)
 	a.CritSink = 0
@@ -377,10 +368,8 @@ func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 // levelize buckets the live cells by combinational depth: sources at
 // level 0, every other cell one past its deepest fanin driver. Within
 // a level cells keep their topological order, so chunked reductions
-// stay deterministic. The second result maps each cell to its level
-// (meaningful for cells in order only); the incremental engine keys
-// its worklist buckets by it.
-func levelize(nl *netlist.Netlist, order []netlist.CellID) ([][]netlist.CellID, []int32) {
+// stay deterministic.
+func levelize(nl *netlist.Netlist, order []netlist.CellID) [][]netlist.CellID {
 	lvl := make([]int32, nl.Cap())
 	maxl := int32(0)
 	for _, id := range order {
@@ -407,7 +396,7 @@ func levelize(nl *netlist.Netlist, order []netlist.CellID) ([][]netlist.CellID, 
 	for _, id := range order {
 		levels[lvl[id]] = append(levels[lvl[id]], id)
 	}
-	return levels, lvl
+	return levels
 }
 
 // runLevel applies fn to every cell of one level, fanning out across
