@@ -19,7 +19,7 @@ QUEUE ?= 64
 JOBS ?= 50
 CONCURRENCY ?= 8
 
-.PHONY: build fmt test race vet lint assert oracle cover serve-race check bench perfbench serve loadtest clean
+.PHONY: build fmt test race vet lint assert oracle cover serve-race fmacheck check bench perfbench serve loadtest clean
 
 # Coverage floor for the differentially-tested packages (per-package,
 # percent of statements). The oracle exists to exercise the embedder;
@@ -85,6 +85,20 @@ cover: oracle
 serve-race:
 	$(GO) test -race -count 1 ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -count 1 -run TestRunContext ./internal/core/
+
+# Same float bits on every architecture: Go may fuse x*y + z into one
+# fused multiply-add, which rounds once instead of twice, and does so on
+# arm64 but not on amd64. An explicit float64(x*y) conversion rounds the
+# product and prevents the fusion. This gate cross-compiles the module
+# for arm64 with -S and fails on any fused multiply-add in the listing
+# (perfbench/ is a separate module and not covered).
+fmacheck:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags='repro/...=-S' ./... >"$$tmp" 2>&1 || { tail -20 "$$tmp"; exit 1; }; \
+	grep -q FMULD "$$tmp" || { echo "fmacheck: the build listed no arm64 assembly"; exit 1; }; \
+	if grep -E '\bF(N)?M(ADD|SUB)D\b' "$$tmp"; then \
+		echo "fmacheck: fused multiply-adds above; wrap each product in float64(...)"; exit 1; fi; \
+	echo "fmacheck: no fused multiply-add in the arm64 build"
 
 # The full gate, in CI order: compile, gofmt, vet, lint (incl.
 # internal/serve), plain tests, the asserting build, the oracle + coverage gate, the

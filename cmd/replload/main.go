@@ -188,7 +188,7 @@ type loadgen struct {
 // multiplicative hash of the index spreads the deadline fraction
 // evenly through the submission order.
 func (lg *loadgen) isDeadline(idx int) bool {
-	return lg.deadlineFrac > 0 && (idx*7919)%100 < int(lg.deadlineFrac*100+0.5)
+	return lg.deadlineFrac > 0 && (idx*7919)%100 < int(float64(lg.deadlineFrac*100)+0.5)
 }
 
 func (lg *loadgen) worker(ctx context.Context, done chan<- struct{}) {

@@ -56,7 +56,7 @@ func DefaultDelayModel() DelayModel {
 // WireDelay returns the estimated interconnect delay for a connection
 // spanning the given Manhattan distance.
 func (m DelayModel) WireDelay(dist int) float64 {
-	return m.SegDelay * float64(dist)
+	return float64(m.SegDelay * float64(dist))
 }
 
 // FPGA describes one instance of the target architecture.

@@ -207,7 +207,7 @@ func layerCounts(total, depth int) []int {
 	sum := 0.0
 	for i := range weights {
 		x := float64(i) / float64(depth-1+1)
-		weights[i] = 0.75 + math.Sin(x*math.Pi)*0.5
+		weights[i] = 0.75 + float64(math.Sin(x*math.Pi)*0.5)
 		sum += weights[i]
 	}
 	counts := make([]int, depth)

@@ -429,7 +429,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	rootFree := false
 	if sink == e.lastSink && !improvedLast {
 		e.dryAtSink++
-		e.eps += e.Config.EpsStep * a.Period
+		e.eps += float64(e.Config.EpsStep * a.Period)
 		if e.Config.FFRelocation && e.dryAtSink >= 2 {
 			if c := e.Netlist.Cell(sink); c.Kind == netlist.LUT && c.Registered {
 				rootFree = true
@@ -613,7 +613,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 // wiring for the Lex variants (their wire overhead grows from ~8% to
 // ~16%).
 func (e *Engine) refineLex(res *embed.Result, base embed.FrontierSol) embed.FrontierSol {
-	budget := base.Sig.Cost*(1+e.Config.LexCostSlackFrac) + e.Config.LexCostSlackAbs
+	budget := float64(base.Sig.Cost*(1+e.Config.LexCostSlackFrac)) + e.Config.LexCostSlackAbs
 	best := base
 	depth := e.Config.Mode.LexDepth
 	if depth < 1 {
@@ -865,7 +865,7 @@ func (e *Engine) congestedGrid(x0, y0, w, h int) *embed.Graph {
 	g := embed.NewGraphGrid(x0, y0, w, h)
 	cost := func(a, b arch.Loc) float64 {
 		occ := float64(e.Config.WireCongestion[a]+e.Config.WireCongestion[b]) / 2
-		return 1.0 + e.Config.WireCongestionWeight*occ
+		return 1.0 + float64(e.Config.WireCongestionWeight*occ)
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -922,7 +922,7 @@ func (e *Engine) placeCostFunc(g *embed.Graph, ep *rtree.EmbedProblem) func(embe
 		// actual replication will ever occur."
 		base := e.congestion(loc, cell)
 		if len(nl.Net(nl.Cell(cell).Out).Sinks) <= 1 {
-			return base + e.Config.ReplicationPenalty*e.Config.FanoutOneFactor
+			return base + float64(e.Config.ReplicationPenalty*e.Config.FanoutOneFactor)
 		}
 		return base + e.Config.ReplicationPenalty
 	}

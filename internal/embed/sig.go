@@ -272,11 +272,11 @@ func augmentInto(m Mode, dst, src *Sig, e *Edge) {
 		// adds the difference of squares.
 		l0 := dst.R
 		l1 := l0 + e.Delay
-		wireDelay = l1*l1 - l0*l0
+		wireDelay = float64(l1*l1) - float64(l0*l0)
 		dst.R = l1
 	case ElmoreDelay:
 		// d = c·(R + r/2) with r = c = e.Delay per unit length.
-		wireDelay = e.Delay * (dst.R + e.Delay/2)
+		wireDelay = float64(e.Delay * (dst.R + float64(e.Delay/2)))
 		dst.R += e.Delay
 	}
 	depth := m.lexDepth()

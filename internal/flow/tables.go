@@ -14,7 +14,7 @@ import (
 // wireNetCost avoids exporting the estimate helper from flow.go's
 // import list twice; it is the q(n)-corrected half-perimeter.
 func wireNetCost(nl *netlist.Netlist, pl *placement.Placement, id netlist.NetID) float64 {
-	return wire.NetCost(nl, pl, id, nil)
+	return wire.NetCost(nl, pl, id)
 }
 
 // FormatTableI renders baseline measurements in the layout of the

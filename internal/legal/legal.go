@@ -276,8 +276,8 @@ func (l *Legalizer) moveGain(nl *netlist.Netlist, pl *placement.Placement, dm ar
 // cellCost is the composite cost of having the cell at loc:
 // C = α·C_T + (1−α)·C_W.
 func (l *Legalizer) cellCost(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, a *timing.Analysis, id netlist.CellID, loc arch.Loc) float64 {
-	return l.Alpha*l.timingCost(nl, pl, dm, a, id, loc) +
-		(1-l.Alpha)*l.wireCost(nl, pl, id, loc)
+	return float64(l.Alpha*l.timingCost(nl, pl, dm, a, id, loc)) +
+		float64((1-l.Alpha)*l.wireCost(nl, pl, id, loc))
 }
 
 // wireCost sums the corrected half-perimeter lengths of the nets the
@@ -286,7 +286,7 @@ func (l *Legalizer) cellCost(nl *netlist.Netlist, pl *placement.Placement, dm ar
 func (l *Legalizer) wireCost(nl *netlist.Netlist, pl *placement.Placement, id netlist.CellID, loc arch.Loc) float64 {
 	total := 0.0
 	for _, t := range l.cache.wireTerms(nl, pl, id) {
-		total += t.q * float64(t.box.Expand(loc).HalfPerim())
+		total += float64(t.q * float64(t.box.Expand(loc).HalfPerim()))
 	}
 	return total
 }

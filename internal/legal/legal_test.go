@@ -261,17 +261,13 @@ func refCellNets(nl *netlist.Netlist, id netlist.CellID) []netlist.NetID {
 }
 
 // refWireCost is wireCost without the cache: every net's box is
-// rebuilt with the cell relocated by an override.
+// rebuilt on a copy of the placement with the cell moved to loc.
 func refWireCost(nl *netlist.Netlist, pl *placement.Placement, id netlist.CellID, loc arch.Loc) float64 {
-	override := func(c netlist.CellID) (arch.Loc, bool) {
-		if c == id {
-			return loc, true
-		}
-		return arch.Loc{}, false
-	}
+	moved := pl.Clone()
+	moved.Place(id, loc)
 	total := 0.0
 	for _, net := range refCellNets(nl, id) {
-		total += wire.NetCost(nl, pl, net, override)
+		total += wire.NetCost(nl, moved, net)
 	}
 	return total
 }

@@ -60,10 +60,10 @@ func applyRoute(m embed.Mode, s embed.Sig, edges []embed.Edge) embed.Sig {
 		case embed.QuadraticDelay:
 			l0 := out.R
 			l1 := l0 + e.Delay
-			wd = l1*l1 - l0*l0
+			wd = float64(l1*l1) - float64(l0*l0)
 			out.R = l1
 		case embed.ElmoreDelay:
-			wd = e.Delay * (out.R + e.Delay/2)
+			wd = float64(e.Delay * (out.R + float64(e.Delay/2)))
 			out.R = out.R + e.Delay
 		}
 		for i := 0; i < depth; i++ {

@@ -110,10 +110,14 @@ type state struct {
 	pinSlot  []int32
 
 	// Per-move scratch: the move's affected nets and timing edges,
-	// computed once per move and reused by the delta and the commit.
+	// computed once per move and reused by the delta and the commit,
+	// and their post-move costs (netNew[i] is nets[i]'s, edgeNew[i] is
+	// edges[i]'s), priced by moveDelta and applied by the commit.
 	// edgeSeen[slot] == edgeStamp marks an edge already in edges.
 	nets      []netlist.NetID
 	edges     []edge
+	netNew    []float64
+	edgeNew   []float64
 	edgeSeen  []uint32
 	edgeStamp uint32
 }
@@ -184,7 +188,7 @@ func (s *state) initialRandom() {
 func (s *state) refreshWire() {
 	s.wireTotal = 0
 	s.nl.Nets(func(n *netlist.Net) {
-		c := wire.NetCost(s.nl, s.pl, n.ID, nil)
+		c := wire.NetCost(s.nl, s.pl, n.ID)
 		s.netCost[n.ID] = c
 		s.wireTotal += c
 	})
@@ -243,7 +247,7 @@ func (s *state) refreshTiming() error {
 			if w > s.crit[v] {
 				s.crit[v] = w
 			}
-			cost := w * d
+			cost := float64(w * d)
 			s.edgeCost[s.slot(v, k)] = cost
 			s.timingTotal += cost
 		}
@@ -327,14 +331,14 @@ func (s *state) initialTemperature(n int) float64 {
 			continue
 		}
 		sum += d
-		sumSq += d * d
+		sumSq += float64(d * d)
 		count++
 	}
 	if count < 2 {
 		return 1
 	}
 	mean := sum / float64(count)
-	variance := sumSq/float64(count) - mean*mean
+	variance := sumSq/float64(count) - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -407,37 +411,48 @@ func (s *state) pickMove(rlim float64) (move, bool) {
 	return m, true
 }
 
-// moveDelta computes the normalized cost delta of a move whose nets
-// and edges affected has collected: λ·ΔT/Tprev + (1-λ)·ΔW/Wprev.
-func (s *state) moveDelta(m move, wirePrev, timingPrev float64) float64 {
-	override := func(id netlist.CellID) (arch.Loc, bool) {
-		if id == m.a {
-			return m.to, true
-		}
-		if m.b != netlist.None && id == m.b {
-			return m.from, true
-		}
-		return arch.Loc{}, false
+// locOf returns id's location once the move is made.
+func (m *move) locOf(loc []arch.Loc, id netlist.CellID) arch.Loc {
+	switch id {
+	case m.a:
+		return m.to
+	case m.b:
+		return m.from
 	}
+	return loc[id]
+}
+
+// moveDelta computes the normalized cost delta of a move whose nets
+// and edges affected has collected: λ·ΔT/Tprev + (1-λ)·ΔW/Wprev. It
+// leaves each net's and edge's post-move cost in netNew and edgeNew
+// for the commit. Both are priced by the expressions refreshWire and
+// refreshTiming use (wire.NetCost's q·HPWL, crit·WireDelay), so a
+// committed cost is bit-equal to a recomputed one.
+func (s *state) moveDelta(m move, wirePrev, timingPrev float64) float64 {
+	loc := s.pl.Locs()
 	// Wire delta over the union of affected nets.
+	s.netNew = s.netNew[:0]
 	dWire := 0.0
-	for _, net := range s.nets {
-		dWire += wire.NetCost(s.nl, s.pl, net, override) - s.netCost[net]
+	for _, id := range s.nets {
+		net := s.nl.Net(id)
+		l := m.locOf(loc, net.Driver)
+		b := wire.BBox{Xmin: l.X, Xmax: l.X, Ymin: l.Y, Ymax: l.Y}
+		for _, p := range net.Sinks {
+			b = b.Expand(m.locOf(loc, p.Cell))
+		}
+		c := float64(wire.Q(1+len(net.Sinks)) * float64(b.HalfPerim()))
+		s.netNew = append(s.netNew, c)
+		dWire += c - s.netCost[id]
 	}
 	// Timing delta over edges touching the moved cells.
 	dTiming := 0.0
 	if s.opt.Lambda > 0 {
+		s.edgeNew = s.edgeNew[:0]
 		for _, e := range s.edges {
-			lu, lv := s.pl.Loc(e.u), s.pl.Loc(e.v)
-			if l, ok := override(e.u); ok {
-				lu = l
-			}
-			if l, ok := override(e.v); ok {
-				lv = l
-			}
-			newDelay := s.opt.Delay.WireDelay(arch.Dist(lu, lv))
-			w := s.crit[e.v]
-			dTiming += w*newDelay - s.edgeCost[e.slot]
+			d := s.opt.Delay.WireDelay(arch.Dist(m.locOf(loc, e.u), m.locOf(loc, e.v)))
+			c := float64(s.crit[e.v] * d)
+			s.edgeNew = append(s.edgeNew, c)
+			dTiming += c - s.edgeCost[e.slot]
 		}
 	}
 	return s.opt.Lambda*dTiming/timingPrev + (1-s.opt.Lambda)*dWire/wirePrev
@@ -459,22 +474,21 @@ func (s *state) tryMove(t, rlim, wirePrev, timingPrev float64) bool {
 			return false
 		}
 	}
-	// Commit: update placement, net cost cache, and totals.
+	// Commit: update placement, and apply the costs moveDelta priced.
 	s.pl.Place(m.a, m.to)
 	if m.b != netlist.None {
 		s.pl.Place(m.b, m.from)
 	}
-	for _, net := range s.nets {
-		c := wire.NetCost(s.nl, s.pl, net, nil)
+	for i, net := range s.nets {
+		c := s.netNew[i]
 		s.wireTotal += c - s.netCost[net]
 		s.netCost[net] = c
 	}
 	if s.opt.Lambda > 0 {
-		for _, e := range s.edges {
-			d := s.opt.Delay.WireDelay(arch.Dist(s.pl.Loc(e.u), s.pl.Loc(e.v)))
-			cost := s.crit[e.v] * d
-			s.timingTotal += cost - s.edgeCost[e.slot]
-			s.edgeCost[e.slot] = cost
+		for i, e := range s.edges {
+			c := s.edgeNew[i]
+			s.timingTotal += c - s.edgeCost[e.slot]
+			s.edgeCost[e.slot] = c
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -365,5 +366,43 @@ func TestProbeMoveAllocs(t *testing.T) {
 	rlim := float64(f.N)
 	if allocs := testing.AllocsPerRun(200, func() { s.probeMove(rlim, 1, 1) }); allocs != 0 {
 		t.Errorf("probeMove allocates %v times per move, want 0", allocs)
+	}
+}
+
+// TestMoveDeltaMatchesCommit checks the price-once rule: the costs a
+// commit applies, priced by moveDelta before the cells moved, are bit
+// for bit the costs recomputed from the moved placement. A hot
+// temperature accepts nearly every move, swaps included.
+func TestMoveDeltaMatchesCommit(t *testing.T) {
+	nl := randomCircuit(t, 21, 120, 10, 10)
+	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
+	s := newState(nl, f, fastOpts(4))
+	s.initialRandom()
+	if err := s.refreshTiming(); err != nil {
+		t.Fatal(err)
+	}
+	s.refreshWire()
+	wirePrev, timingPrev := s.wireTotal, s.timingTotal
+	commits := 0
+	for i := 0; i < 4000; i++ {
+		if !s.tryMove(1e6, float64(f.N), wirePrev, timingPrev) {
+			continue
+		}
+		commits++
+		for _, net := range s.nets {
+			want := wire.NetCost(nl, s.pl, net)
+			if math.Float64bits(s.netCost[net]) != math.Float64bits(want) {
+				t.Fatalf("commit %d: net %d costs %v, recomputed %v", commits, net, s.netCost[net], want)
+			}
+		}
+		for _, e := range s.edges {
+			want := s.crit[e.v] * s.opt.Delay.WireDelay(arch.Dist(s.pl.Loc(e.u), s.pl.Loc(e.v)))
+			if math.Float64bits(s.edgeCost[e.slot]) != math.Float64bits(want) {
+				t.Fatalf("commit %d: edge %d->%d costs %v, recomputed %v", commits, e.u, e.v, s.edgeCost[e.slot], want)
+			}
+		}
+	}
+	if commits < 3000 {
+		t.Fatalf("only %d of 4000 moves committed", commits)
 	}
 }

@@ -7,6 +7,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
@@ -18,9 +19,10 @@ type Placement struct {
 	// loc[cell] is the cell's location; cells beyond the slice or at
 	// unplaced{} are unplaced.
 	loc []arch.Loc
-	// occ maps a location to the cells currently in it (possibly more
-	// than its capacity during illegal intermediate states).
-	occ map[arch.Loc][]netlist.CellID
+	// occ[y*(N+2)+x] lists the cells at (x, y), possibly more than
+	// its capacity during illegal intermediate states. An emptied tile
+	// keeps its slice, so refilling it does not allocate.
+	occ [][]netlist.CellID
 }
 
 var unplaced = arch.Loc{X: -1, Y: -1}
@@ -31,12 +33,28 @@ func New(f *arch.FPGA, n *netlist.Netlist) *Placement {
 	p := &Placement{
 		fpga: f,
 		loc:  make([]arch.Loc, n.Cap()),
-		occ:  make(map[arch.Loc][]netlist.CellID),
+		occ:  make([][]netlist.CellID, (f.N+2)*(f.N+2)),
 	}
 	for i := range p.loc {
 		p.loc[i] = unplaced
 	}
 	return p
+}
+
+// tile returns l's index in occ, or -1 outside the (N+2)×(N+2) grid.
+func (p *Placement) tile(l arch.Loc) int {
+	side := p.fpga.N + 2
+	x, y := int(l.X), int(l.Y)
+	if uint(x) >= uint(side) || uint(y) >= uint(side) {
+		return -1
+	}
+	return y*side + x
+}
+
+// tileLoc is tile's inverse.
+func (p *Placement) tileLoc(t int) arch.Loc {
+	side := p.fpga.N + 2
+	return arch.Loc{X: int16(t % side), Y: int16(t / side)}
 }
 
 // FPGA returns the device this placement targets.
@@ -75,7 +93,8 @@ func (p *Placement) Place(id netlist.CellID, l arch.Loc) {
 		p.removeOcc(id, p.loc[id])
 	}
 	p.loc[id] = l
-	p.occ[l] = append(p.occ[l], id)
+	t := p.tile(l)
+	p.occ[t] = append(p.occ[t], id)
 }
 
 // Remove unplaces a cell (used when a replica is deleted by
@@ -88,15 +107,15 @@ func (p *Placement) Remove(id netlist.CellID) {
 	p.loc[id] = unplaced
 }
 
+// removeOcc swaps id with the tile's last cell and drops it, which
+// fixes the order At reports the remaining cells in.
 func (p *Placement) removeOcc(id netlist.CellID, l arch.Loc) {
-	cells := p.occ[l]
+	t := p.tile(l)
+	cells := p.occ[t]
 	for i, c := range cells {
 		if c == id {
 			cells[i] = cells[len(cells)-1]
-			p.occ[l] = cells[:len(cells)-1]
-			if len(p.occ[l]) == 0 {
-				delete(p.occ, l)
-			}
+			p.occ[t] = cells[:len(cells)-1]
 			return
 		}
 	}
@@ -104,24 +123,33 @@ func (p *Placement) removeOcc(id netlist.CellID, l arch.Loc) {
 }
 
 // At returns the cells occupying location l (shared slice; do not
-// mutate).
-func (p *Placement) At(l arch.Loc) []netlist.CellID { return p.occ[l] }
+// mutate), or nil for a location off the device.
+func (p *Placement) At(l arch.Loc) []netlist.CellID {
+	if t := p.tile(l); t >= 0 {
+		return p.occ[t]
+	}
+	return nil
+}
 
 // Usage returns the number of cells at l.
-func (p *Placement) Usage(l arch.Loc) int { return len(p.occ[l]) }
+func (p *Placement) Usage(l arch.Loc) int { return len(p.At(l)) }
+
+// Locs returns the location table indexed by cell ID (shared slice;
+// do not mutate). Only cells marked placed have a meaningful entry, and
+// placing a cell beyond its end replaces the table.
+func (p *Placement) Locs() []arch.Loc { return p.loc }
 
 // OverCapacity returns every location holding more cells than its
 // capacity, in scan order (bottom-to-top, left-to-right), matching the
 // legalizer's "first overlap we encounter while we scan" rule.
 func (p *Placement) OverCapacity() []arch.Loc {
 	var out []arch.Loc
-	f := p.fpga
-	for y := 0; y <= f.N+1; y++ {
-		for x := 0; x <= f.N+1; x++ {
-			l := arch.Loc{X: int16(x), Y: int16(y)}
-			if len(p.occ[l]) > f.Capacity(l) {
-				out = append(out, l)
-			}
+	for t, cells := range p.occ {
+		if len(cells) == 0 {
+			continue
+		}
+		if l := p.tileLoc(t); len(cells) > p.fpga.Capacity(l) {
+			out = append(out, l)
 		}
 	}
 	return out
@@ -132,7 +160,7 @@ func (p *Placement) Legal() bool { return len(p.OverCapacity()) == 0 }
 
 // FreeLogicSlot reports whether l is a logic slot with spare capacity.
 func (p *Placement) FreeLogicSlot(l arch.Loc) bool {
-	return p.fpga.IsLogic(l) && len(p.occ[l]) < p.fpga.CLBCapacity
+	return p.fpga.IsLogic(l) && len(p.occ[p.tile(l)]) < p.fpga.CLBCapacity
 }
 
 // NearestFreeLogic returns the free logic slot nearest to l (ties
@@ -170,12 +198,13 @@ func (p *Placement) QuadrantFreeSlots(center arch.Loc) []arch.Loc {
 		d int
 	}
 	quad := [4]best{{d: 1 << 30}, {d: 1 << 30}, {d: 1 << 30}, {d: 1 << 30}}
+	side := f.N + 2
 	for y := 1; y <= f.N; y++ {
 		for x := 1; x <= f.N; x++ {
-			l := arch.Loc{X: int16(x), Y: int16(y)}
-			if !p.FreeLogicSlot(l) {
+			if len(p.occ[y*side+x]) >= f.CLBCapacity {
 				continue
 			}
+			l := arch.Loc{X: int16(x), Y: int16(y)}
 			q := 0
 			if l.X < center.X {
 				q |= 1
@@ -227,15 +256,28 @@ func (p *Placement) NearestFreeSlots(center arch.Loc, k int) []arch.Loc {
 	return out
 }
 
-// Clone returns an independent copy of the placement.
+// Clone returns an independent copy of the placement. The copied
+// tiles share one backing array, each capped at its own length, so a
+// Place into a clone's tile reallocates that tile instead of writing
+// into its neighbour's cells.
 func (p *Placement) Clone() *Placement {
 	c := &Placement{
 		fpga: p.fpga,
 		loc:  append([]arch.Loc(nil), p.loc...),
-		occ:  make(map[arch.Loc][]netlist.CellID, len(p.occ)),
+		occ:  make([][]netlist.CellID, len(p.occ)),
 	}
-	for l, cells := range p.occ {
-		c.occ[l] = append([]netlist.CellID(nil), cells...)
+	n := 0
+	for _, cells := range p.occ {
+		n += len(cells)
+	}
+	buf := make([]netlist.CellID, n)
+	for t, cells := range p.occ {
+		if len(cells) == 0 {
+			continue
+		}
+		k := copy(buf, cells)
+		c.occ[t] = buf[:k:k]
+		buf = buf[k:]
 	}
 	return c
 }
@@ -263,22 +305,16 @@ func (p *Placement) Validate(n *netlist.Netlist) error {
 			err = fmt.Errorf("LUT %s at non-logic slot %v", c.Name, l)
 			return
 		}
-		found := false
-		for _, id := range p.occ[l] {
-			if id == c.ID {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(p.occ[p.tile(l)], c.ID) {
 			err = fmt.Errorf("cell %s missing from occupancy at %v", c.Name, l)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	for l, cells := range p.occ {
+	for t, cells := range p.occ {
 		for _, id := range cells {
-			if int(id) >= len(p.loc) || p.loc[id] != l {
+			if l := p.tileLoc(t); int(id) >= len(p.loc) || p.loc[id] != l {
 				return fmt.Errorf("occupancy at %v lists cell %d not placed there", l, id)
 			}
 		}

@@ -29,7 +29,7 @@ func (p *Placement) Plot(nl *netlist.Netlist, highlight map[netlist.CellID]bool)
 
 func (p *Placement) slotGlyph(nl *netlist.Netlist, l arch.Loc, highlight map[netlist.CellID]bool) byte {
 	f := p.fpga
-	cells := p.occ[l]
+	cells := p.At(l)
 	for _, id := range cells {
 		if highlight[id] {
 			return '+'

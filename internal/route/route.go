@@ -369,7 +369,7 @@ func (r *router) nodeCost(t int32) float64 {
 	if over <= 0 {
 		return base
 	}
-	return base * (1 + float64(over)*r.presFac)
+	return base * (1 + float64(float64(over)*r.presFac))
 }
 
 // routeNet grows the net's Steiner tree sink by sink (nearest first).
@@ -531,7 +531,7 @@ func (r *router) updateCongestion() int {
 	for t := range r.occ {
 		if int(r.occ[t]) > r.capacity {
 			over++
-			r.hist[t] += r.opt.HistFac * float64(int(r.occ[t])-r.capacity)
+			r.hist[t] += float64(r.opt.HistFac * float64(int(r.occ[t])-r.capacity))
 		}
 	}
 	return over

@@ -103,7 +103,7 @@ func (b *Backoff) Delay(k int) time.Duration {
 		b.mu.Lock()
 		u := b.rng.Float64()
 		b.mu.Unlock()
-		d *= 1 - b.Jitter + 2*b.Jitter*u
+		d *= 1 - b.Jitter + float64(2*b.Jitter*u)
 	}
 	if d < 0 {
 		d = 0

@@ -522,7 +522,7 @@ func LowerBound(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, sink netlis
 			continue
 		}
 		lb := dm.WireDelay(arch.Dist(pl.Loc(u), pl.Loc(sink))) +
-			float64(d)*dm.LUTDelay + Intrinsic(dm, sc)
+			float64(float64(d)*dm.LUTDelay) + Intrinsic(dm, sc)
 		if lb > bound {
 			bound = lb
 		}

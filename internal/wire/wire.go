@@ -35,7 +35,7 @@ func Q(n int) float64 {
 	if n <= 50 {
 		return qTable[n]
 	}
-	return qTable[50] + 0.02616*float64(n-50)
+	return qTable[50] + float64(0.02616*float64(n-50))
 }
 
 // BBox is a net bounding box.
@@ -66,32 +66,22 @@ func (b BBox) Expand(l arch.Loc) BBox {
 }
 
 // NetBBox computes the bounding box of a net's terminals under the
-// given locator. The optional override relocates one cell
-// hypothetically (used by "what if this cell moved here" cost probes);
-// pass override == nil for the plain box.
-func NetBBox(nl *netlist.Netlist, pl timing.Locator, netID netlist.NetID, override func(netlist.CellID) (arch.Loc, bool)) BBox {
+// given locator.
+func NetBBox(nl *netlist.Netlist, pl timing.Locator, netID netlist.NetID) BBox {
 	net := nl.Net(netID)
-	locOf := func(id netlist.CellID) arch.Loc {
-		if override != nil {
-			if l, ok := override(id); ok {
-				return l
-			}
-		}
-		return pl.Loc(id)
-	}
-	l := locOf(net.Driver)
+	l := pl.Loc(net.Driver)
 	b := BBox{Xmin: l.X, Xmax: l.X, Ymin: l.Y, Ymax: l.Y}
 	for _, p := range net.Sinks {
-		b = b.Expand(locOf(p.Cell))
+		b = b.Expand(pl.Loc(p.Cell))
 	}
 	return b
 }
 
 // NetCost returns the corrected half-perimeter wire cost of a net:
 // q(terminals) · HPWL.
-func NetCost(nl *netlist.Netlist, pl timing.Locator, netID netlist.NetID, override func(netlist.CellID) (arch.Loc, bool)) float64 {
+func NetCost(nl *netlist.Netlist, pl timing.Locator, netID netlist.NetID) float64 {
 	net := nl.Net(netID)
-	b := NetBBox(nl, pl, netID, override)
+	b := NetBBox(nl, pl, netID)
 	return Q(1+len(net.Sinks)) * float64(b.HalfPerim())
 }
 
@@ -100,7 +90,7 @@ func NetCost(nl *netlist.Netlist, pl timing.Locator, netID netlist.NetID, overri
 func TotalCost(nl *netlist.Netlist, pl timing.Locator) float64 {
 	total := 0.0
 	nl.Nets(func(net *netlist.Net) {
-		total += NetCost(nl, pl, net.ID, nil)
+		total += NetCost(nl, pl, net.ID)
 	})
 	return total
 }

@@ -56,7 +56,7 @@ func buildNet(t *testing.T) (*netlist.Netlist, mapLoc, netlist.NetID) {
 
 func TestNetBBoxAndCost(t *testing.T) {
 	n, loc, net := buildNet(t)
-	b := NetBBox(n, loc, net, nil)
+	b := NetBBox(n, loc, net)
 	if b.Xmin != 0 || b.Xmax != 4 || b.Ymin != 0 || b.Ymax != 5 {
 		t.Errorf("bbox = %+v, want x[0,4] y[0,5]", b)
 	}
@@ -64,26 +64,8 @@ func TestNetBBoxAndCost(t *testing.T) {
 		t.Errorf("HPWL = %d, want 9", b.HalfPerim())
 	}
 	// 3 terminals: q = 1.
-	if got := NetCost(n, loc, net, nil); got != 9 {
+	if got := NetCost(n, loc, net); got != 9 {
 		t.Errorf("NetCost = %v, want 9", got)
-	}
-}
-
-func TestNetCostOverride(t *testing.T) {
-	n, loc, net := buildNet(t)
-	aID, _ := n.CellByName("a")
-	override := func(id netlist.CellID) (arch.Loc, bool) {
-		if id == aID {
-			return arch.Loc{X: 1, Y: 1}, true
-		}
-		return arch.Loc{}, false
-	}
-	if got := NetCost(n, loc, net, override); got != 6 {
-		t.Errorf("overridden NetCost = %v, want 6 (x[0,1] y[0,5])", got)
-	}
-	// Original placement untouched.
-	if got := NetCost(n, loc, net, nil); got != 9 {
-		t.Errorf("NetCost after override probe = %v, want 9", got)
 	}
 }
 
