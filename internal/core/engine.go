@@ -88,20 +88,17 @@ type Config struct {
 	// phase and the levelized STA. 1 forces the exact serial path;
 	// results are bit-identical at any setting.
 	Parallelism int
-	// Incremental enables frontier memoization: a solved embedding
-	// frontier is reused when extraction reproduces a bitwise-identical
-	// problem, and DP nodes whose subtree inputs repeat are served from
-	// the per-node memo. Results are Float64bits-identical to the
-	// unmemoized path at any setting.
+	// Incremental enables frontier memoization: DP nodes whose subtree
+	// inputs repeat are served from the engine's node memo, and a root
+	// that repeats the previous solve's is served from its root slot.
+	// Results are Float64bits-identical to the unmemoized path at any
+	// setting.
 	Incremental bool
-	// VerifyIncremental cross-checks every frontier-cache hit and every
-	// solve the node memo served in part against a fresh solve without
-	// either, failing the run on any Float64bits difference. Debug/CI
-	// mode: it costs more than disabling Incremental entirely.
+	// VerifyIncremental cross-checks every solve the memo served in
+	// part, its root included, against a fresh solve without it,
+	// failing the run on any Float64bits difference. Debug/CI mode: it
+	// costs more than disabling Incremental entirely.
 	VerifyIncremental bool
-	// FrontierCacheSize bounds the embedding-frontier cache (entries);
-	// 0 selects the default.
-	FrontierCacheSize int
 }
 
 // Default returns the configuration used in the paper's experiments.
@@ -172,9 +169,9 @@ type Stats struct {
 	StoppedEarly bool
 	// Phases breaks the run's wall time down by engine phase.
 	Phases PhaseTimes
-	// Incremental reports the frontier memos' traffic and the analyses
-	// and trees the engine computed (zero when Config.Incremental is
-	// off).
+	// Incremental reports the frontier memo's root-slot traffic and the
+	// analyses and trees the engine computed (zero when
+	// Config.Incremental is off).
 	Incremental IncrementalStats
 }
 
@@ -194,7 +191,9 @@ type IncrementalStats struct {
 	STAFallbacks int `json:"sta_fallbacks"`
 	SPTHits      int `json:"spt_hits"`
 	SPTPatches   int `json:"spt_patches"`
-	// Embedding-frontier cache hits and misses.
+	// Root-slot hits and misses of the node memo: solves whose whole
+	// root frontier repeated the previous solve's, and solves that
+	// joined their root.
 	FrontierHits   int `json:"frontier_hits"`
 	FrontierMisses int `json:"frontier_misses"`
 }
@@ -208,9 +207,8 @@ type Engine struct {
 
 	leg *legal.Legalizer
 
-	// Frontier memos (nil when Config.Incremental is off): the
-	// embedding-frontier cache and the per-node memo behind it.
-	emc *embed.Cache
+	// enm is the frontier memo (nil until the first solve with
+	// Config.Incremental on).
 	enm *embed.NodeMemo
 	// analyses and trees count the STAs run and SPTs built.
 	analyses, trees int
@@ -262,7 +260,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 	// A repeated Run on the same engine (re-optimization after the
 	// caller perturbed the design) is a fresh Fig. 11 flow: the ε
 	// schedule restarts from zero exactly as on a new engine. The
-	// frontier memos deliberately survive: they key on fingerprints of
+	// frontier memo deliberately survives: it keys on fingerprints of
 	// every input a solve reads, so nothing the caller changed in
 	// between can make an entry stale.
 	e.eps, e.lastSink, e.dryAtSink = 0, netlist.None, 0
@@ -368,16 +366,6 @@ func (e *Engine) analyze() (*timing.Analysis, error) {
 	return timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
 }
 
-// ensureIncremental lazily constructs the frontier memos, so
-// Config.Incremental may be set any time before the first solve.
-func (e *Engine) ensureIncremental() {
-	if e.emc != nil {
-		return
-	}
-	e.emc = embed.NewCache(e.Config.FrontierCacheSize)
-	e.enm = embed.NewNodeMemo()
-}
-
 // harvestIncremental copies the run's counters into its stats.
 func (e *Engine) harvestIncremental(st *Stats) {
 	if !e.Config.Incremental {
@@ -386,9 +374,9 @@ func (e *Engine) harvestIncremental(st *Stats) {
 	is := &st.Incremental
 	is.STAFullRuns = e.analyses
 	is.SPTRebuilds = e.trees
-	if e.emc != nil {
-		is.FrontierHits = e.emc.Stats.Hits
-		is.FrontierMisses = e.emc.Stats.Misses
+	if e.enm != nil {
+		is.FrontierHits = e.enm.Roots.Hits
+		is.FrontierMisses = e.enm.Roots.Misses
 	}
 }
 
@@ -476,54 +464,33 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		ctx = context.Background()
 	}
 	stopEmbed := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Embed })
-	// Frontier memoization, two levels deep. If the extraction
-	// reproduced a problem whose canonical encoding (window, tree, cost
-	// inputs) matches a solved one bit for bit, the DP would recompute
-	// the identical frontier — reuse it instead. Otherwise the solve
-	// runs with the per-node memo, which serves every DP node whose
+	// Frontier memoization: the node memo serves every DP node whose
 	// subtree inputs repeat a node of the previous solve, or an earlier
-	// node of this one. The solver is deterministic, so both are exact,
-	// not approximate; VerifyIncremental re-solves without either and
-	// checks. The memo recycles node sets at its next solve, so res is
-	// read only within this iteration, and the cache keeps a frozen
-	// copy (frontier plus extracted embeddings), not res itself.
-	var res *embed.Result
-	var fp embed.Fingerprint
+	// node of this one, and the root frontier itself when the whole
+	// problem repeats the previous solve's. The solver is deterministic,
+	// so this is exact, not approximate; VerifyIncremental re-solves
+	// without the memo and checks. The memo recycles node sets at its
+	// next solve, so res is read only within this iteration.
+	var hits int
 	if e.Config.Incremental {
-		e.ensureIncremental()
+		if e.enm == nil {
+			e.enm = embed.NewNodeMemo()
+		}
 		prob.Memo = e.enm
-		fp = e.embedFingerprint(g, ep, rootFree, prob.DelayQuantum)
-		if r, ok := e.emc.Get(fp); ok {
-			res = r
-			if e.Config.VerifyIncremental {
-				if err := e.verifyFrontier(ctx, prob, res); err != nil {
-					stopEmbed()
-					return false, err
-				}
-			}
-		}
+		hits = e.enm.Stats.Hits + e.enm.Roots.Hits
 	}
-	if res == nil {
-		var hits int
-		if prob.Memo != nil {
-			hits = prob.Memo.Stats.Hits
+	res, err := prob.SolveContext(ctx)
+	if err != nil {
+		stopEmbed()
+		if cerr := ctx.Err(); cerr != nil {
+			return false, cerr // cancelled mid-DP, not an infeasible window
 		}
-		res, err = prob.SolveContext(ctx)
-		if err != nil {
+		return false, nil // window infeasible; ε will grow
+	}
+	if m := prob.Memo; m != nil && e.Config.VerifyIncremental && m.Stats.Hits+m.Roots.Hits > hits {
+		if err := e.verifyFrontier(ctx, prob, res); err != nil {
 			stopEmbed()
-			if cerr := ctx.Err(); cerr != nil {
-				return false, cerr // cancelled mid-DP, not an infeasible window
-			}
-			return false, nil // window infeasible; ε will grow
-		}
-		if prob.Memo != nil {
-			if e.Config.VerifyIncremental && prob.Memo.Stats.Hits > hits {
-				if err := e.verifyFrontier(ctx, prob, res); err != nil {
-					stopEmbed()
-					return false, err
-				}
-			}
-			e.emc.Put(fp, res)
+			return false, err
 		}
 	}
 	// Selection bound: the cheapest solution faster than both the
@@ -892,22 +859,46 @@ func (e *Engine) congestedGrid(x0, y0, w, h int) *embed.Graph {
 func (e *Engine) placeCostFunc(g *embed.Graph, ep *rtree.EmbedProblem) func(embed.NodeID, embed.Vertex) float64 {
 	f := e.Placement.FPGA()
 	nl := e.Netlist
+	root := ep.Tree.Root
+	// A solve prices every internal node at every window vertex, so the
+	// terms that depend on the vertex alone (+Inf off the logic fabric,
+	// else congestion) and on the node alone (the replication penalty)
+	// are computed once per problem.
+	slot := make([]float64, g.NumVertices())
+	for v := range slot {
+		loc := g.LocOf(embed.Vertex(v))
+		slot[v] = math.Inf(1)
+		if f.IsLogic(loc) {
+			slot[v] = e.congestion(loc)
+		}
+	}
+	penalty := make([]float64, len(ep.NodeCell))
+	for node, cell := range ep.NodeCell {
+		if embed.NodeID(node) == root || ep.Tree.Nodes[node].IsLeaf() {
+			continue
+		}
+		// Congestion is paid regardless; the replication penalty is
+		// discounted for fanout-1 cells — "we still replicate, but all
+		// placement locations receive a discounted cost, since no
+		// actual replication will ever occur."
+		penalty[node] = e.Config.ReplicationPenalty
+		if len(nl.Net(nl.Cell(cell).Out).Sinks) <= 1 {
+			penalty[node] = float64(e.Config.ReplicationPenalty * e.Config.FanoutOneFactor)
+		}
+	}
 	return func(node embed.NodeID, v embed.Vertex) float64 {
 		cell := ep.NodeCell[node]
 		loc := g.LocOf(v)
-		if node == ep.Tree.Root {
+		if node == root {
 			// The sink: fixed roots only ever query their own slot;
 			// free roots (relocating FFs) may go to any logic slot.
 			if loc == e.Placement.Loc(cell) {
 				return 0
 			}
-			if !f.IsLogic(loc) {
-				return math.Inf(1)
-			}
-			return e.congestion(loc, cell)
+			return slot[v]
 		}
-		if !f.IsLogic(loc) {
-			return math.Inf(1)
+		if math.IsInf(slot[v], 1) {
+			return slot[v]
 		}
 		// Discount: placement on top of any logically equivalent cell
 		// means no replication materializes.
@@ -916,20 +907,12 @@ func (e *Engine) placeCostFunc(g *embed.Graph, ep *rtree.EmbedProblem) func(embe
 				return 0
 			}
 		}
-		// Congestion is paid regardless; the replication penalty is
-		// discounted for fanout-1 cells — "we still replicate, but all
-		// placement locations receive a discounted cost, since no
-		// actual replication will ever occur."
-		base := e.congestion(loc, cell)
-		if len(nl.Net(nl.Cell(cell).Out).Sinks) <= 1 {
-			return base + float64(e.Config.ReplicationPenalty*e.Config.FanoutOneFactor)
-		}
-		return base + e.Config.ReplicationPenalty
+		return slot[v] + penalty[node]
 	}
 }
 
 // congestion scores local placement congestion at loc.
-func (e *Engine) congestion(loc arch.Loc, cell netlist.CellID) float64 {
+func (e *Engine) congestion(loc arch.Loc) float64 {
 	cap := e.Placement.FPGA().Capacity(loc)
 	use := e.Placement.Usage(loc)
 	if use < cap {

@@ -145,12 +145,13 @@ func TestStaleMemoResultTrips(t *testing.T) {
 			t.Fatalf("child %d's set is not poisoned: the next solve reused it", c)
 		}
 	}
-	// The solve dropped its per-solve placement vector; look the costs
-	// up directly.
-	stale.placeOff = make([]int, len(tr.Nodes))
-	for i := range stale.placeOff {
-		stale.placeOff[i] = -1
+	// The solve dropped its per-solve placement vector; rebuild the
+	// gate's.
+	stale.place = make([]float64, first.G.NumVertices())
+	for v := range stale.place {
+		stale.place[v] = first.PlaceCost(gate, Vertex(v))
 	}
+	stale.placeOff = make([]int, len(tr.Nodes))
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "NaN heap key") {
@@ -171,12 +172,6 @@ func TestStaleFoldScratchTrips(t *testing.T) {
 	r, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The solve dropped its per-solve placement vector; look the costs
-	// up directly.
-	r.placeOff = make([]int, len(p.T.Nodes))
-	for i := range r.placeOff {
-		r.placeOff[i] = -1
 	}
 	var kept, cross []combo
 	var perm []int32

@@ -25,10 +25,21 @@ package embed
 // cancelled solve empties the memo, and a node cut short is never
 // stored. Not safe for concurrent use; each engine owns one.
 //
+// The root is keyed the same way, its placement cost read only at the
+// vertices the root join reads: the pinned vertex, or every unblocked
+// vertex of a free root. A one-entry slot keeps the root of the last
+// completed, feasible, uncancelled solve: its key, its sets and its
+// frontier. A solve whose root key matches the slot serves its frontier
+// from there and skips the root join. Only the previous problem ever
+// repeats in the engine's traffic, so one entry is enough. The root's
+// tables are allocated at exact size and never pooled, so the slot
+// stays valid while the memo recycles slabs, and the served Result is
+// bound to the new Problem: Extract walks the new tree, whose children
+// at each position repeat the old ones under any NodeIDs.
+//
 // Because released slabs are reused, a Result solved with a memo is
 // valid only until that memo's next solve: its node sets may by then
-// hold another problem's solutions. A caller that keeps a frontier
-// longer keeps a frozen copy (see Cache).
+// hold another problem's solutions.
 type NodeMemo struct {
 	last, next map[Fingerprint]nodeSols
 	// lastKeys and nextKeys list each generation's keys in the order
@@ -42,9 +53,16 @@ type NodeMemo struct {
 	// stages a release.
 	slabs   slabPool
 	dropped []nodeSols
-	// Stats counts nodes served from the memo (Hits) and nodes
-	// computed (Misses).
-	Stats CacheStats
+	// root is the root slot; its frontier is empty until a solve
+	// completes.
+	root struct {
+		key      Fingerprint
+		sols     nodeSols
+		frontier []FrontierSol
+	}
+	// Stats counts non-root nodes served from the memo (Hits) and
+	// computed (Misses); Roots counts root-slot hits and misses.
+	Stats, Roots MemoStats
 }
 
 // NewNodeMemo returns an empty memo.
@@ -135,6 +153,34 @@ func (m *NodeMemo) memoRelease() {
 	clear(m.first)
 }
 
+// memoRoot looks up the root, keyed by prepare, in the root slot and
+// counts the outcome.
+func (r *Result) memoRoot(sc *solverScratch) bool {
+	m := r.p.Memo
+	if m == nil {
+		return false
+	}
+	if len(m.root.frontier) > 0 && m.root.key == sc.nodeFP[r.p.T.Root] {
+		m.Roots.Hits++
+		return true
+	}
+	m.Roots.Misses++
+	return false
+}
+
+// serveRoot completes a solve whose root hit the slot: the root's sets
+// and frontier are the slot's. The frontier is capped at its length so
+// that a caller's append cannot write into the slot.
+func (r *Result) serveRoot() (*Result, error) {
+	if r.cancelled() {
+		return nil, r.ctx.Err()
+	}
+	m := r.p.Memo
+	r.sols[r.p.T.Root] = m.root.sols
+	r.Frontier = m.root.frontier[:len(m.root.frontier):len(m.root.frontier)]
+	return r, nil
+}
+
 // memoSlabs is the pool node id's tables are taken from: the memo's,
 // or nil (fresh allocations) without a memo.
 func (r *Result) memoSlabs() *slabPool {
@@ -170,8 +216,9 @@ func (r *Result) memoStore(id NodeID, sc *solverScratch) {
 }
 
 // memoCommit ends a solve: a completed one becomes the memo's previous
-// generation, a cancelled one empties the memo.
-func (r *Result) memoCommit() {
+// generation, and its root, when feasible, fills the root slot; a
+// cancelled one empties the memo and leaves the slot as it was.
+func (r *Result) memoCommit(sc *solverScratch, feasible bool) {
 	m := r.p.Memo
 	if m == nil {
 		return
@@ -183,4 +230,9 @@ func (r *Result) memoCommit() {
 	}
 	m.last, m.next = m.next, m.last
 	m.lastKeys, m.nextKeys = m.nextKeys, m.lastKeys
+	if feasible {
+		m.root.key = sc.nodeFP[r.p.T.Root]
+		m.root.sols = r.sols[r.p.T.Root]
+		m.root.frontier = r.Frontier
+	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // These tests pin the node memo's contract: a solve through a memo —
-// whatever the memo served from earlier solves or from repeats inside
-// the same solve — is bit-identical to a solve without one, node by
-// node and vertex by vertex, and a cancelled solve cannot leave a
-// partial node behind for the next one.
+// whatever the memo served from earlier solves, from repeats inside
+// the same solve or from its root slot — is bit-identical to a solve
+// without one, node by node and vertex by vertex, and a cancelled solve
+// cannot leave a partial node or root behind for the next one.
 
 // memoCase is one problem family of the equivalence sweep.
 type memoCase struct {
@@ -43,11 +43,19 @@ func memoCases() []memoCase {
 	}
 }
 
+// Steps of memoSequence that repeat the solve before them, the second
+// under other NodeIDs: both serve every node and the root from the memo.
+const (
+	stepRepeat   = 1
+	stepPermuted = 2
+)
+
 // memoSequence derives from base the problems a memo sees in turn: the
-// same problem, one internal node's placement cost changed at one
-// vertex, one leaf's arrival changed, one edge cost changed, the delay
-// quantum changed, and a tree with a duplicated subtree (so repeats
-// occur inside one solve, leaves and gates alike).
+// same problem, the same problem under permuted NodeIDs, one internal
+// node's placement cost changed at one vertex, one leaf's arrival
+// changed, one edge cost changed, the delay quantum changed, and a tree
+// with a duplicated subtree (so repeats occur inside one solve, leaves
+// and gates alike).
 func memoSequence(t *testing.T, base *Problem) []*Problem {
 	t.Helper()
 	ref, err := base.Solve()
@@ -69,7 +77,7 @@ func memoSequence(t *testing.T, base *Problem) []*Problem {
 		t.Fatal("base tree needs a leaf and a non-root gate")
 	}
 
-	seq := []*Problem{base, base}
+	seq := []*Problem{base, base, permuteIDs(base)}
 
 	// The gate's cost where the cheapest embedding places it: that
 	// vertex's join solution is accepted, so its cost moves A.
@@ -140,6 +148,25 @@ func cloneGraph(g *Graph) *Graph {
 	return &c
 }
 
+// permuteIDs renumbers base's nodes in reverse, keeping every node's
+// children in order and every node's placement costs.
+func permuteIDs(base *Problem) *Problem {
+	n := NodeID(len(base.T.Nodes))
+	t := &Tree{Nodes: make([]Node, n), Root: n - 1 - base.T.Root}
+	for i, nd := range base.T.Nodes {
+		kids := make([]NodeID, len(nd.Children))
+		for j, c := range nd.Children {
+			kids[j] = n - 1 - c
+		}
+		nd.Children = kids
+		t.Nodes[n-1-NodeID(i)] = nd
+	}
+	p := *base
+	p.T = t
+	p.PlaceCost = func(node NodeID, v Vertex) float64 { return base.PlaceCost(n-1-node, v) }
+	return &p
+}
+
 // duplicateSubtree copies the root's largest child subtree under new
 // node IDs and adds the copy as one more child of the root. Copied gates
 // keep their originals' placement costs, so every copied node repeats
@@ -190,7 +217,8 @@ func duplicateSubtree(base *Problem) *Problem {
 // memo, serially and with two and four workers, and checks every solve against
 // a solve without a memo: the frontier, every node's accepted set at
 // every vertex, and the extraction of every frontier point, bit for
-// bit.
+// bit. The permuted step extracts under its own NodeIDs, so a root
+// served from the slot must be bound to the new tree.
 func TestNodeMemoEquivalence(t *testing.T) {
 	for _, mc := range memoCases() {
 		seq := memoSequence(t, mc.prob())
@@ -207,19 +235,25 @@ func TestNodeMemoEquivalence(t *testing.T) {
 				memoized := *p
 				memoized.Parallelism = workers
 				memoized.Memo = memo
-				before := memo.Stats
+				before, beforeRoots := memo.Stats, memo.Roots
 				got, err := memoized.Solve()
 				if err != nil {
 					t.Fatalf("%s step %d: memo solve: %v", mc.name, step, err)
 				}
 				resultsEqual(t, mc.name, workers, p, want[step], got)
-				// Repeating a solve computes nothing; the duplicated
-				// subtree, last, follows a quantum change that misses
-				// every node, so its hits are repeats inside the solve.
+				// Repeating a solve, under the same NodeIDs or not,
+				// computes nothing and serves the root from the slot;
+				// the duplicated subtree, last, follows a quantum change
+				// that misses every node, so its hits are repeats inside
+				// the solve.
+				repeat := step == stepRepeat || step == stepPermuted
 				switch {
-				case step == 1 && memo.Stats.Misses != before.Misses:
-					t.Fatalf("%s[w=%d]: repeating a solve computed %d nodes, want 0",
-						mc.name, workers, memo.Stats.Misses-before.Misses)
+				case repeat && memo.Stats.Misses != before.Misses:
+					t.Fatalf("%s[w=%d] step %d: repeating a solve computed %d nodes, want 0",
+						mc.name, workers, step, memo.Stats.Misses-before.Misses)
+				case repeat && (memo.Roots.Hits != beforeRoots.Hits+1 || memo.Roots.Misses != beforeRoots.Misses):
+					t.Fatalf("%s[w=%d] step %d: root slot %+v after %+v, want one more hit",
+						mc.name, workers, step, memo.Roots, beforeRoots)
 				case step == len(seq)-1 && memo.Stats.Hits == before.Hits:
 					t.Fatalf("%s[w=%d]: no repeat served inside the duplicated-subtree solve", mc.name, workers)
 				}
@@ -229,9 +263,13 @@ func TestNodeMemoEquivalence(t *testing.T) {
 }
 
 // TestNodeMemoCancel cuts a memoized solve at every cancellation poll
-// in turn, on a memo warmed by the previous problem, and then requires
-// the next uncancelled solve through the same memo to equal a fresh
-// solve. A node cut short must never be stored, or served later.
+// in turn and then requires the next uncancelled solve through the same
+// memo to equal a fresh solve. A node cut short must never be stored,
+// or served later, and a cancelled solve must leave the root slot as it
+// was. The memo is warmed either by the previous problem, so the cut
+// solve computes nodes and its root, or by the same problem, so a cut
+// empties the memo while its slot still holds this root: the solve
+// after it recomputes every node and serves the root from the slot.
 func TestNodeMemoCancel(t *testing.T) {
 	base := randomProblem(3, 6, 6, 8, Mode{LexDepth: 1}, false)
 	next := *base
@@ -246,55 +284,71 @@ func TestNodeMemoCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain solve: %v", err)
 	}
-	warm := *base
-	warm.Memo = NewNodeMemo()
-	if _, err := warm.Solve(); err != nil {
-		t.Fatalf("warm solve: %v", err)
-	}
-	cancelled := 0
-	for cut := int64(1); ; cut++ {
-		if cut > 10000 {
-			t.Fatal("solve still cancelled after 10000 polls")
+	for _, from := range []*Problem{base, &next} {
+		warm := *from
+		warm.Memo = NewNodeMemo()
+		if _, err := warm.Solve(); err != nil {
+			t.Fatalf("warm solve: %v", err)
 		}
-		// Each cut starts from a copy of the warmed memo with sets of
-		// its own: the memo recycles the sets it releases, so two memos
-		// sharing them would overwrite each other's.
-		memo := cloneMemo(warm.Memo)
-		par := next
-		par.Memo = memo
-		par.Parallelism = 4
-		got, err := par.SolveContext(&cutCtx{Context: context.Background(), cut: cut})
-		switch {
-		case err == nil:
-			resultsEqual(t, "cut", 4, &next, want, got)
-		case !errors.Is(err, context.Canceled):
-			t.Fatalf("cut %d: %v", cut, err)
+		slot := warm.Memo.root
+		cancelled := 0
+		for cut := int64(1); ; cut++ {
+			if cut > 10000 {
+				t.Fatal("solve still cancelled after 10000 polls")
+			}
+			// Each cut starts from a copy of the warmed memo with sets of
+			// its own: the memo recycles the sets it releases, so two
+			// memos sharing them would overwrite each other's.
+			memo := cloneMemo(warm.Memo)
+			par := next
+			par.Memo = memo
+			par.Parallelism = 4
+			got, err := par.SolveContext(&cutCtx{Context: context.Background(), cut: cut})
+			switch {
+			case err == nil:
+				resultsEqual(t, "cut", 4, &next, want, got)
+			case !errors.Is(err, context.Canceled):
+				t.Fatalf("cut %d: %v", cut, err)
+			case memo.root.key != slot.key || len(memo.root.frontier) != len(slot.frontier):
+				t.Fatalf("cut %d: the cancelled solve replaced the root slot", cut)
+			}
+			roots := memo.Roots
+			after, aerr := par.Solve()
+			if aerr != nil {
+				t.Fatalf("cut %d: solve after the cut: %v", cut, aerr)
+			}
+			resultsEqual(t, "after-cut", 4, &next, want, after)
+			if from == &next && memo.Roots.Hits != roots.Hits+1 {
+				t.Fatalf("cut %d: the solve after the cut missed the root slot", cut)
+			}
+			if err == nil {
+				break
+			}
+			cancelled++
 		}
-		after, aerr := par.Solve()
-		if aerr != nil {
-			t.Fatalf("cut %d: solve after the cut: %v", cut, aerr)
+		if from == base && cancelled < 2 {
+			t.Fatalf("only %d cuts cancelled the solve; the problem is too small to cut inside a level", cancelled)
 		}
-		resultsEqual(t, "after-cut", 4, &next, want, after)
-		if err == nil {
-			break
-		}
-		cancelled++
-	}
-	if cancelled < 2 {
-		t.Fatalf("only %d cuts cancelled the solve; the problem is too small to cut inside a level", cancelled)
 	}
 }
 
-// cloneMemo copies m's previous generation into a new memo, each node's
-// tables copied too.
+// cloneMemo copies m's previous generation and root slot into a new
+// memo, each node's tables copied too.
 func cloneMemo(m *NodeMemo) *NodeMemo {
 	c := NewNodeMemo()
 	for _, k := range m.lastKeys {
-		ns := m.last[k]
-		c.last[k] = nodeSols{sols: slices.Clone(ns.sols), off: slices.Clone(ns.off), joinPool: slices.Clone(ns.joinPool)}
+		c.last[k] = cloneSols(m.last[k])
 		c.lastKeys = append(c.lastKeys, k)
 	}
+	c.root.key = m.root.key
+	c.root.sols = cloneSols(m.root.sols)
+	c.root.frontier = slices.Clone(m.root.frontier)
 	return c
+}
+
+// cloneSols copies a node's tables.
+func cloneSols(ns nodeSols) nodeSols {
+	return nodeSols{sols: slices.Clone(ns.sols), off: slices.Clone(ns.off), joinPool: slices.Clone(ns.joinPool)}
 }
 
 // sameSig compares two signatures bit for bit.

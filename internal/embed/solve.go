@@ -17,10 +17,10 @@ type Problem struct {
 	Mode Mode
 	// PlaceCost returns p_ij, the cost of placing internal tree node i
 	// at vertex j (Section II-A). nil means zero everywhere. Return
-	// +Inf to forbid a location for one node. A solve calls it once per
-	// (node, unblocked vertex): for the non-root nodes up front on the
-	// calling goroutine, for the root from the root join. Must be safe
-	// for concurrent calls when Parallelism > 1.
+	// +Inf to forbid a location for one node. A solve calls it up front
+	// on the calling goroutine, once per (internal node, unblocked
+	// vertex), except that a pinned root is priced at its own vertex
+	// only.
 	PlaceCost func(node NodeID, v Vertex) float64
 	// Capacity returns the remaining capacity of the slot at v for the
 	// overlap-control scheme; nil means capacity 1 everywhere. Only
@@ -41,10 +41,10 @@ type Problem struct {
 	// order, and sibling subtrees are data-independent).
 	Parallelism int
 	// Memo, when non-nil, serves repeated DP nodes from earlier solves
-	// and from earlier in the same solve (see NodeMemo); the result is
-	// bit-identical to a solve without it. The memo recycles the node
-	// sets it releases, so the Result is valid only until the memo's
-	// next solve.
+	// and from earlier in the same solve, and a repeated root from the
+	// last solve (see NodeMemo); the result is bit-identical to a solve
+	// without it. The memo recycles the node sets it releases, so the
+	// Result is valid only until the memo's next solve.
 	Memo *NodeMemo
 }
 
@@ -121,15 +121,12 @@ func (ns *nodeSols) compact(sc *solverScratch, nv int, slabs *slabPool) {
 // Result is the outcome of Solve: the non-dominated cost/arrival
 // tradeoff at the root ("Frontier"), plus enough state to extract any
 // chosen solution's full embedding. A Result solved with a Problem.Memo
-// is valid only until that memo's next solve; the frozen copy a Cache
-// keeps has no such limit.
+// is valid only until that memo's next solve, and its Frontier, which
+// the memo's root slot may share, is read-only.
 type Result struct {
 	p        *Problem
 	sols     []nodeSols
 	Frontier []FrontierSol
-	// frozen, set only on a frozen copy, holds the embedding of each
-	// Frontier point, index for index; p and sols are then nil.
-	frozen []*Embedding
 
 	// ctx and aborted implement cooperative cancellation: workers poll
 	// the flag (set once ctx is done) at amortized intervals and bail
@@ -140,10 +137,10 @@ type Result struct {
 	ctx     context.Context
 	aborted atomic.Bool
 
-	// place is the per-solve vector of p_ij for the non-root internal
-	// nodes, node id's costs starting at placeOff[id] (-1 for leaves
-	// and the root). Both borrow the solving goroutine's scratch and are
-	// dropped when the solve returns.
+	// place is the per-solve vector of p_ij for the internal nodes,
+	// node id's costs starting at placeOff[id] (-1 for leaves). Both
+	// borrow the solving goroutine's scratch and are dropped when the
+	// solve returns.
 	place    []float64
 	placeOff []int
 	// dom is the dominance test of p.Mode.
@@ -276,24 +273,33 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 			r.memoStore(id, sc)
 		}
 	}
-	res, err := r.finish(workers, sc)
-	r.memoCommit()
+	var res *Result
+	var err error
+	if r.memoRoot(sc) {
+		res, err = r.serveRoot()
+	} else {
+		res, err = r.finish(workers, sc)
+	}
+	r.memoCommit(sc, err == nil)
 	r.place, r.placeOff = nil, nil
 	return res, err
 }
 
-// prepare runs before any node is computed. It evaluates p_ij once per
-// (non-root internal node, unblocked vertex) into the per-solve vector
-// joinSpan reads. With a memo it also keys every non-root node bottom-up
-// (the placement costs go into an internal node's key), looks each one
-// up, and then releases the memo's previous generation.
+// prepare runs before any node is computed. It evaluates p_ij into the
+// per-solve vector joinSpan reads, once per (internal node, vertex the
+// root join or the wavefront can reach): every unblocked vertex, but
+// only the pinned vertex of a fixed root. With a memo it also keys every
+// node bottom-up (the placement costs go into an internal node's key),
+// looks each non-root node up, and then releases the memo's previous
+// generation; the root's key is looked up in the root slot once the
+// non-root nodes exist.
 func (r *Result) prepare(order []NodeID, sc *solverScratch) {
 	p := r.p
 	t := p.T
 	nv := p.G.NumVertices()
 	internal := 0
 	for i := range t.Nodes {
-		if NodeID(i) != t.Root && !t.Nodes[i].IsLeaf() {
+		if !t.Nodes[i].IsLeaf() {
 			internal++
 		}
 	}
@@ -309,18 +315,16 @@ func (r *Result) prepare(order []NodeID, sc *solverScratch) {
 	}
 	off := 0
 	for _, id := range order {
+		n := &t.Nodes[id]
 		sc.placeOff[id] = -1
-		if id == t.Root {
-			continue
-		}
 		h := base
 		if m != nil {
 			r.memoNode(&h, id, sc)
 		}
-		if !t.Nodes[id].IsLeaf() {
+		if !n.IsLeaf() {
 			sc.placeOff[id] = off
 			for v := range nv {
-				if p.G.Blocked(Vertex(v)) {
+				if p.G.Blocked(Vertex(v)) || (id == t.Root && n.Vertex >= 0 && Vertex(v) != n.Vertex) {
 					continue
 				}
 				pc := 0.0
@@ -334,7 +338,9 @@ func (r *Result) prepare(order []NodeID, sc *solverScratch) {
 		}
 		if m != nil {
 			sc.nodeFP[id] = h.Sum()
-			r.memoLookup(id, sc)
+			if id != t.Root {
+				r.memoLookup(id, sc)
+			}
 		}
 	}
 	if m != nil {
@@ -342,16 +348,9 @@ func (r *Result) prepare(order []NodeID, sc *solverScratch) {
 	}
 }
 
-// placeCost returns p_ij: from the per-solve vector for a non-root
-// internal node, by a direct PlaceCost call for the root.
+// placeCost returns p_ij of internal node id from the per-solve vector.
 func (r *Result) placeCost(id NodeID, v Vertex) float64 {
-	if off := r.placeOff[id]; off >= 0 {
-		return r.place[off+int(v)]
-	}
-	if r.p.PlaceCost == nil {
-		return 0
-	}
-	return r.p.PlaceCost(id, v)
+	return r.place[r.placeOff[id]+int(v)]
 }
 
 // processNode computes one non-root node's accepted solution sets:
@@ -976,8 +975,7 @@ func (r *Result) accept(sc *solverScratch, v Vertex, s *solution) bool {
 }
 
 // SolutionsAt exposes the accepted signature set A[node][v]; used by
-// tests to check the DP against the paper's worked example. A frozen
-// Result keeps no node sets and does not support it.
+// tests to check the DP against the paper's worked example.
 func (r *Result) SolutionsAt(node NodeID, v Vertex) []Sig {
 	list := r.sols[node].at(v)
 	out := make([]Sig, len(list))
@@ -1033,13 +1031,9 @@ type Embedding struct {
 
 // Extract reconstructs the embedding behind a frontier solution by
 // retracing the DP choices top-down (Section II: "the actual embedding
-// is reconstructed in a top-down process"). On a frozen Result it
-// returns a copy of the embedding extracted when it was frozen. Either
-// way the caller owns the returned Embedding.
+// is reconstructed in a top-down process"). The caller owns the
+// returned Embedding.
 func (r *Result) Extract(f FrontierSol) *Embedding {
-	if r.frozen != nil {
-		return r.frozenAt(f).clone()
-	}
 	emb := &Embedding{
 		NodeVertex: make([]Vertex, len(r.p.T.Nodes)),
 		Routes:     make([][]Vertex, len(r.p.T.Nodes)),
@@ -1049,42 +1043,6 @@ func (r *Result) Extract(f FrontierSol) *Embedding {
 	}
 	r.extract(f.Vertex, int32(f.idx), r.p.T.Root, emb)
 	return emb
-}
-
-// freeze returns a copy of r that keeps only what selection and
-// extraction read: the frontier, and every frontier point's embedding,
-// extracted now. It holds no node sets and no Problem, so it stays
-// valid after the memo's next solve and costs its holder a few small
-// slices per point instead of the DP's solution slabs.
-func (r *Result) freeze() *Result {
-	f := &Result{Frontier: slices.Clone(r.Frontier), frozen: make([]*Embedding, len(r.Frontier))}
-	for i := range r.Frontier {
-		f.frozen[i] = r.Extract(r.Frontier[i])
-	}
-	return f
-}
-
-// frozenAt returns the stored embedding of frontier point f.
-func (r *Result) frozenAt(f FrontierSol) *Embedding {
-	for i := range r.Frontier {
-		if r.Frontier[i].Vertex == f.Vertex && r.Frontier[i].idx == f.idx {
-			return r.frozen[i]
-		}
-	}
-	panic(fmt.Sprintf("embed: Extract of a point not on the frozen frontier (vertex %d)", f.Vertex))
-}
-
-// clone deep-copies an embedding.
-func (e *Embedding) clone() *Embedding {
-	c := &Embedding{
-		NodeVertex: slices.Clone(e.NodeVertex),
-		Routes:     make([][]Vertex, len(e.Routes)),
-		WireCost:   e.WireCost,
-	}
-	for i, route := range e.Routes {
-		c.Routes[i] = slices.Clone(route)
-	}
-	return c
 }
 
 func (r *Result) extract(v Vertex, idx int32, node NodeID, emb *Embedding) {

@@ -66,16 +66,19 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalDifferential pins the frontier memos' exactness claim
-// end to end: frontier-cache hits and memo-served solves must
-// reproduce the unmemoized engine's optimized design bit for bit, with
-// in-run verification re-solving every memoized frontier from scratch.
+// TestIncrementalDifferential pins the frontier memo's exactness claim
+// end to end: solves the memo served, in part or from its root slot,
+// must reproduce the unmemoized engine's optimized design bit for bit,
+// with in-run verification re-solving every memoized frontier from
+// scratch. The runs together must serve a root from the slot, so that
+// verification covers slot hits too.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	runs := 4
 	if testing.Short() {
 		runs = 2
 	}
+	slotHits := 0
 	for i := 0; i < runs; i++ {
 		spec := circuits.Spec{
 			Name:    "incdiff",
@@ -97,6 +100,10 @@ func TestIncrementalDifferential(t *testing.T) {
 		if inc.FrontierHits+inc.FrontierMisses == 0 {
 			t.Fatalf("run %d: incremental run recorded no frontier activity: %+v", i, inc)
 		}
+		slotHits += inc.FrontierHits
+	}
+	if slotHits == 0 {
+		t.Fatal("no run served a root from the slot")
 	}
 }
 

@@ -33,8 +33,8 @@ type counters struct {
 	running       atomic.Int64
 	engineSeconds atomicFloat
 	embedSeconds  atomicFloat
-	// Frontier-cache counters, accumulated from completed jobs' engine
-	// telemetry.
+	// Frontier-memo root-slot counters, accumulated from completed
+	// jobs' engine telemetry.
 	frontierHits   atomic.Int64
 	frontierMisses atomic.Int64
 	// Racing and QoS counters: raced jobs run, losing variants
@@ -61,7 +61,7 @@ type CounterSnapshot struct {
 	// completed jobs: the live view of where the service spends time.
 	EngineSeconds float64 `json:"engine_seconds"`
 	EmbedSeconds  float64 `json:"embed_seconds"`
-	// Embedding-frontier cache hits and misses across completed jobs.
+	// Frontier-memo root-slot hits and misses across completed jobs.
 	FrontierHits   int64 `json:"frontier_hits"`
 	FrontierMisses int64 `json:"frontier_misses"`
 	// Racing and QoS: raced jobs run, losing variants cancelled before
