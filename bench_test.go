@@ -537,39 +537,16 @@ func benchEngineConfig(b *testing.B, mutate func(*core.Config)) {
 	}
 }
 
-// BenchmarkAblationAggressiveUnify isolates the Section VII-B
-// aggressive unification strategy.
-func BenchmarkAblationAggressiveUnify(b *testing.B) {
-	benchEngineConfig(b, func(c *core.Config) { c.AggressiveUnify = true })
-}
-
-func BenchmarkAblationConservativeUnify(b *testing.B) {
-	benchEngineConfig(b, func(c *core.Config) { c.AggressiveUnify = false })
+// BenchmarkAblationDefault is the reference row: the paper's
+// configuration, against which each ablation below is read.
+func BenchmarkAblationDefault(b *testing.B) {
+	benchEngineConfig(b, func(*core.Config) {})
 }
 
 // BenchmarkAblationNoFFRelocation isolates the Section V-D FF
 // relocation feature.
 func BenchmarkAblationNoFFRelocation(b *testing.B) {
 	benchEngineConfig(b, func(c *core.Config) { c.FFRelocation = false })
-}
-
-// BenchmarkAblationExactEmbedder removes the per-vertex solution cap
-// (MaxPerVertex), trading runtime for exactness.
-func BenchmarkAblationExactEmbedder(b *testing.B) {
-	benchEngineConfig(b, func(c *core.Config) {
-		c.MaxPerVertex = 0
-		c.DelayQuantumFrac = 0
-	})
-}
-
-// BenchmarkAblationSmallEps vs LargeEps probes the ε growth schedule
-// of Section V-B.
-func BenchmarkAblationSmallEps(b *testing.B) {
-	benchEngineConfig(b, func(c *core.Config) { c.EpsStep = 0.01 })
-}
-
-func BenchmarkAblationLargeEps(b *testing.B) {
-	benchEngineConfig(b, func(c *core.Config) { c.EpsStep = 0.20 })
 }
 
 // BenchmarkWmin measures the channel-width binary search, the dominant

@@ -168,10 +168,10 @@ func (e *Engine) collectRedundant(id netlist.CellID) []netlist.CellID {
 // replica, examine its logically equivalent cells; any fanout of an
 // equivalent cell that would see an equal-or-better arrival from the
 // replica is reassigned to it. Equivalents left without fanouts are
-// deleted (recursively). With AggressiveUnify, reassignment also
-// happens when the move degrades that input's arrival but stays within
-// the current critical period — the paper's aggressive clean-up for
-// high-density circuits.
+// deleted (recursively). Reassignment also happens when the move
+// degrades that input's arrival but stays within the current critical
+// period — the paper's aggressive clean-up for high-density circuits
+// (Section VII-B).
 func (e *Engine) postUnify(a *timing.Analysis, created []netlist.CellID, st *Stats) {
 	nl := e.Netlist
 	for _, rep := range created {
@@ -192,7 +192,7 @@ func (e *Engine) postUnify(a *timing.Analysis, created []netlist.CellID, st *Sta
 				oldT := otherArr + e.Delay.WireDelay(arch.Dist(otherLoc, sLoc))
 				newT := repArr + e.Delay.WireDelay(arch.Dist(repLoc, sLoc))
 				ok := newT <= oldT+1e-9
-				if !ok && e.Config.AggressiveUnify {
+				if !ok {
 					// Allowed if the degraded arrival still cannot
 					// push the slowest path through this input past
 					// the current period.

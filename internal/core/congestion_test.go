@@ -19,10 +19,9 @@ func TestCongestionFeedback(t *testing.T) {
 	// Saturate the direct corridor rows between the pads.
 	for x := int16(0); x <= 9; x++ {
 		for y := int16(3); y <= 5; y++ {
-			cfg.WireCongestion[arch.Loc{X: x, Y: y}] = 20
+			cfg.WireCongestion[arch.Loc{X: x, Y: y}] = 100
 		}
 	}
-	cfg.WireCongestionWeight = 0.5
 	e := New(d.nl, d.pl, dm(), cfg)
 	st, err := e.Run()
 	if err != nil {

@@ -25,8 +25,49 @@ import (
 	"repro/internal/timing"
 )
 
-// Config tunes the engine. Zero values select the paper's defaults via
-// Default().
+// The engine's fixed tuning: the parameter set the paper's experiments
+// run with. Each is typed, so a constant expression over it rounds
+// exactly as the runtime arithmetic on a float64 field would.
+const (
+	// epsStep is the ε increment, as a fraction of the current period,
+	// applied when an iteration fails to improve (Section V-B).
+	epsStep float64 = 0.05
+	// maxTreeInternal caps replication-tree size (the paper observed
+	// trees "up to almost a thousand cells").
+	maxTreeInternal int = 1000
+	// windowMargin pads the embedding window around the tree's
+	// bounding box, in slots.
+	windowMargin int = 4
+	// maxPerVertex / delayQuantumFrac bound the embedder's per-vertex
+	// solution lists on large instances.
+	maxPerVertex     int     = 8
+	delayQuantumFrac float64 = 0.005
+	// freeSlotCost, occupiedSlotCost, replicationPenalty, and
+	// fanoutOneFactor shape the placement cost p_ij (Section II-A):
+	// free slots are cheap, occupied slots congested, creating a new
+	// cell costs extra, and fanout-1 cells are discounted everywhere
+	// since "no actual replication will ever occur".
+	freeSlotCost       float64 = 0.2
+	occupiedSlotCost   float64 = 3.0
+	replicationPenalty float64 = 4.0
+	fanoutOneFactor    float64 = 0.25
+	// maxDrift is the fraction by which the working solution may
+	// degrade past the best before the engine resets to the best
+	// snapshot (exploration headroom).
+	maxDrift float64 = 0.02
+	// lexCostSlackFrac/Abs bound the extra embedding cost the Lex
+	// modes may spend on subcritical-path speed beyond the cheapest
+	// fast-enough solution.
+	lexCostSlackFrac float64 = 0.25
+	lexCostSlackAbs  float64 = 3.0
+	// wireCongestionWeight scales the Config.WireCongestion bias (cost
+	// per net of occupancy, in wire-cost units).
+	wireCongestionWeight float64 = 0.1
+)
+
+// Config holds the engine options a caller chooses per run; the rest
+// of the paper's parameter set is fixed in the constants above.
+// Default() returns the paper's configuration.
 type Config struct {
 	// Mode selects the embedding signature: plain RT-Embedding
 	// (LexDepth 1), Lex-2..Lex-5, or Lex-mc.
@@ -36,54 +77,17 @@ type Config struct {
 	// Patience stops the loop after this many consecutive iterations
 	// without clock-period improvement.
 	Patience int
-	// EpsStep is the ε increment, as a fraction of the current period,
-	// applied when an iteration fails to improve (Section V-B).
-	EpsStep float64
-	// MaxTreeInternal caps replication-tree size (the paper observed
-	// trees "up to almost a thousand cells").
-	MaxTreeInternal int
-	// WindowMargin pads the embedding window around the tree's
-	// bounding box, in slots.
-	WindowMargin int
-	// MaxPerVertex / DelayQuantumFrac bound the embedder's per-vertex
-	// solution lists on large instances (0 = exact).
-	MaxPerVertex     int
-	DelayQuantumFrac float64
-	// FreeSlotCost, OccupiedSlotCost, ReplicationPenalty, and
-	// FanoutOneFactor shape the placement cost p_ij (Section II-A):
-	// free slots are cheap, occupied slots congested, creating a new
-	// cell costs extra, and fanout-1 cells are discounted everywhere
-	// since "no actual replication will ever occur".
-	FreeSlotCost       float64
-	OccupiedSlotCost   float64
-	ReplicationPenalty float64
-	FanoutOneFactor    float64
-	// AggressiveUnify reassigns fanouts to new replicas whenever doing
-	// so does not violate the current critical delay, not only when it
-	// strictly improves arrival (Section VII-B).
-	AggressiveUnify bool
 	// FFRelocation allows moving a registered-LUT sink when it is the
 	// bottleneck (Section V-D).
 	FFRelocation bool
-	// MaxDrift is the fraction by which the working solution may
-	// degrade past the best before the engine resets to the best
-	// snapshot (exploration headroom).
-	MaxDrift float64
-	// LexCostSlackFrac/Abs bound the extra embedding cost the Lex
-	// modes may spend on subcritical-path speed beyond the cheapest
-	// fast-enough solution.
-	LexCostSlackFrac float64
-	LexCostSlackAbs  float64
 	// WireCongestion, when non-nil, biases the embedding graph's wire
 	// costs by actual routing-channel occupancy — the Section VIII
 	// improvement ("use the actual channel occupancy to assign wire
 	// costs in the embedding graph... the embedder is biased to place
 	// cells in regions with smaller wire utilization"). Values are
-	// per-tile net counts, e.g. route.Result.TileUsage.
+	// per-tile net counts, e.g. route.Result.TileUsage, weighted by
+	// wireCongestionWeight.
 	WireCongestion map[arch.Loc]int
-	// WireCongestionWeight scales that bias (cost per net of
-	// occupancy, in wire-cost units).
-	WireCongestionWeight float64
 	// Parallelism bounds worker goroutines in the embedder's join
 	// phase and the levelized STA. 1 forces the exact serial path;
 	// results are bit-identical at any setting.
@@ -104,26 +108,12 @@ type Config struct {
 // Default returns the configuration used in the paper's experiments.
 func Default() Config {
 	return Config{
-		Mode:                 embed.Mode{LexDepth: 1, Delay: embed.LinearDelay},
-		MaxIters:             400,
-		Patience:             40,
-		EpsStep:              0.05,
-		MaxTreeInternal:      1000,
-		WindowMargin:         4,
-		MaxPerVertex:         8,
-		DelayQuantumFrac:     0.005,
-		FreeSlotCost:         0.2,
-		OccupiedSlotCost:     3.0,
-		ReplicationPenalty:   4.0,
-		FanoutOneFactor:      0.25,
-		AggressiveUnify:      true,
-		FFRelocation:         true,
-		MaxDrift:             0.02,
-		LexCostSlackFrac:     0.25,
-		LexCostSlackAbs:      3.0,
-		WireCongestionWeight: 0.1,
-		Parallelism:          runtime.GOMAXPROCS(0),
-		Incremental:          true,
+		Mode:         embed.Mode{LexDepth: 1, Delay: embed.LinearDelay},
+		MaxIters:     400,
+		Patience:     40,
+		FFRelocation: true,
+		Parallelism:  runtime.GOMAXPROCS(0),
+		Incremental:  true,
 	}
 }
 
@@ -294,7 +284,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.Period > prePeriod*(1+e.Config.MaxDrift) {
+		if a.Period > prePeriod*(1+maxDrift) {
 			// The iteration's collateral damage (usually dense-design
 			// legalization) exceeded the exploration allowance:
 			// discard it entirely rather than optimize from a damaged
@@ -335,7 +325,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 			// solutions can enable otherwise unachievable quality
 			// (Section V-D) — but runaway drift resets to the best
 			// state.
-			if a.Period > e.bestPeriod*(1+e.Config.MaxDrift) {
+			if a.Period > e.bestPeriod*(1+maxDrift) {
 				e.restoreBest()
 				a, err = e.analyze()
 				if err != nil {
@@ -417,7 +407,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	rootFree := false
 	if sink == e.lastSink && !improvedLast {
 		e.dryAtSink++
-		e.eps += float64(e.Config.EpsStep * a.Period)
+		e.eps += float64(epsStep * a.Period)
 		if e.Config.FFRelocation && e.dryAtSink >= 2 {
 			if c := e.Netlist.Cell(sink); c.Kind == netlist.LUT && c.Registered {
 				rootFree = true
@@ -433,7 +423,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 	spt := timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, sink)
 	e.trees++
 	members := spt.Epsilon(e.eps)
-	e.trimMembers(spt, members)
+	trimMembers(spt, members, maxTreeInternal)
 	rt, err := rtree.Build(e.Netlist, a, spt, members)
 	if err != nil {
 		stopExtract()
@@ -455,8 +445,8 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		T:            ep.Tree,
 		Mode:         e.Config.Mode,
 		PlaceCost:    e.placeCostFunc(g, ep),
-		MaxPerVertex: e.Config.MaxPerVertex,
-		DelayQuantum: e.Config.DelayQuantumFrac * a.Period,
+		MaxPerVertex: maxPerVertex,
+		DelayQuantum: delayQuantumFrac * a.Period,
 		Parallelism:  e.Config.Parallelism,
 	}
 	ctx := e.ctx
@@ -580,7 +570,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 // wiring for the Lex variants (their wire overhead grows from ~8% to
 // ~16%).
 func (e *Engine) refineLex(res *embed.Result, base embed.FrontierSol) embed.FrontierSol {
-	budget := float64(base.Sig.Cost*(1+e.Config.LexCostSlackFrac)) + e.Config.LexCostSlackAbs
+	budget := float64(base.Sig.Cost*(1+lexCostSlackFrac)) + lexCostSlackAbs
 	best := base
 	depth := e.Config.Mode.LexDepth
 	if depth < 1 {
@@ -686,11 +676,10 @@ func (e *Engine) secondArrival(a *timing.Analysis, exclude netlist.CellID) float
 	return a.SecondArr
 }
 
-// trimMembers caps the ε-SPT at MaxTreeInternal movable cells, keeping
-// the most critical ones and preserving parent-chain closure.
-func (e *Engine) trimMembers(spt *timing.SPT, members map[netlist.CellID]bool) {
-	limit := e.Config.MaxTreeInternal
-	if limit <= 0 || len(members) <= limit {
+// trimMembers caps the ε-SPT at limit movable cells, keeping the most
+// critical ones and preserving parent-chain closure.
+func trimMembers(spt *timing.SPT, members map[netlist.CellID]bool, limit int) {
+	if len(members) <= limit {
 		return
 	}
 	// Tree depth to the sink, so ties on PathThrough (common on a
@@ -796,7 +785,7 @@ func (e *Engine) buildWindow(rt *rtree.RTree, rootFree bool) *embed.Graph {
 	for i := range rt.Nodes {
 		grow(e.Placement.Loc(rt.Nodes[i].Cell))
 	}
-	m := e.Config.WindowMargin
+	m := windowMargin
 	if rootFree {
 		m += 2 // give a relocating FF extra room
 	}
@@ -804,17 +793,19 @@ func (e *Engine) buildWindow(rt *rtree.RTree, rootFree bool) *embed.Graph {
 	maxX = clamp(maxX+m, 0, f.N+1)
 	minY = clamp(minY-m, 0, f.N+1)
 	maxY = clamp(maxY+m, 0, f.N+1)
-	g := embed.NewGrid(embed.GridSpec{
-		X0: minX, Y0: minY,
-		W: maxX - minX + 1, H: maxY - minY + 1,
-		WireCost:  1.0,
-		WireDelay: e.Delay.SegDelay,
-	})
+	var g *embed.Graph
 	if e.Config.WireCongestion != nil {
-		// Section VIII congestion feedback: rebuild the window with
-		// per-edge wire costs scaled by routed channel occupancy so
-		// the embedder avoids utilized regions.
+		// Section VIII congestion feedback: per-edge wire costs scaled
+		// by routed channel occupancy, so the embedder avoids utilized
+		// regions.
 		g = e.congestedGrid(minX, minY, maxX-minX+1, maxY-minY+1)
+	} else {
+		g = embed.NewGrid(embed.GridSpec{
+			X0: minX, Y0: minY,
+			W: maxX - minX + 1, H: maxY - minY + 1,
+			WireCost:  1.0,
+			WireDelay: e.Delay.SegDelay,
+		})
 	}
 	// Corners of the device are unusable.
 	for _, c := range []arch.Loc{{X: 0, Y: 0}, {X: 0, Y: int16(f.N + 1)},
@@ -832,7 +823,7 @@ func (e *Engine) congestedGrid(x0, y0, w, h int) *embed.Graph {
 	g := embed.NewGraphGrid(x0, y0, w, h)
 	cost := func(a, b arch.Loc) float64 {
 		occ := float64(e.Config.WireCongestion[a]+e.Config.WireCongestion[b]) / 2
-		return 1.0 + float64(e.Config.WireCongestionWeight*occ)
+		return 1.0 + float64(wireCongestionWeight*occ)
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -881,9 +872,9 @@ func (e *Engine) placeCostFunc(g *embed.Graph, ep *rtree.EmbedProblem) func(embe
 		// discounted for fanout-1 cells — "we still replicate, but all
 		// placement locations receive a discounted cost, since no
 		// actual replication will ever occur."
-		penalty[node] = e.Config.ReplicationPenalty
+		penalty[node] = replicationPenalty
 		if len(nl.Net(nl.Cell(cell).Out).Sinks) <= 1 {
-			penalty[node] = float64(e.Config.ReplicationPenalty * e.Config.FanoutOneFactor)
+			penalty[node] = replicationPenalty * fanoutOneFactor
 		}
 	}
 	return func(node embed.NodeID, v embed.Vertex) float64 {
@@ -916,9 +907,9 @@ func (e *Engine) congestion(loc arch.Loc) float64 {
 	cap := e.Placement.FPGA().Capacity(loc)
 	use := e.Placement.Usage(loc)
 	if use < cap {
-		return e.Config.FreeSlotCost
+		return freeSlotCost
 	}
-	return e.Config.OccupiedSlotCost * float64(use-cap+1)
+	return occupiedSlotCost * float64(use-cap+1)
 }
 
 func clamp(x, lo, hi int) int {

@@ -410,10 +410,7 @@ func TestTrimMembers(t *testing.T) {
 	}
 	spt := timing.BuildSPT(d.nl, d.pl, dm(), a, a.CritSink)
 	members := spt.Epsilon(1e9)
-	cfg := Default()
-	cfg.MaxTreeInternal = 4
-	e := New(d.nl, d.pl, dm(), cfg)
-	e.trimMembers(spt, members)
+	trimMembers(spt, members, 4)
 	if len(members) > 5 { // sink + 4
 		t.Errorf("trim left %d members, want <= 5", len(members))
 	}
@@ -502,13 +499,12 @@ func TestTrimMembersBreaksTiesByID(t *testing.T) {
 		spt.Parent[id] = 0
 		spt.PathThrough[id] = 5
 	}
-	e := &Engine{Config: Config{MaxTreeInternal: 4}}
 	for trial := 0; trial < 20; trial++ {
 		members := map[netlist.CellID]bool{0: true}
 		for id := range spt.Parent {
 			members[id] = true
 		}
-		e.trimMembers(spt, members)
+		trimMembers(spt, members, 4)
 		if len(members) != 5 {
 			t.Fatalf("trial %d: kept %d members, want the sink and 4 cells", trial, len(members))
 		}

@@ -44,9 +44,6 @@ type Tree struct {
 	Root  NodeID
 }
 
-// NumNodes returns the node count.
-func (t *Tree) NumNodes() int { return len(t.Nodes) }
-
 // Validate checks that the tree is well formed: every non-root node has
 // exactly one parent, leaves have fixed vertices, and children indices
 // are in range. maxVertex is the embedding graph's vertex count.

@@ -363,9 +363,6 @@ func RunAlgorithm(b *Baseline, algo Algorithm, cfg Config) (*Result, error) {
 				return nil, err
 			}
 			ecfg.WireCongestion = rr.TileUsage
-			if ecfg.WireCongestionWeight == 0 {
-				ecfg.WireCongestionWeight = core.Default().WireCongestionWeight
-			}
 		}
 		eng := core.New(nl, pl, cfg.Delay, ecfg)
 		st, err := eng.Run()

@@ -29,15 +29,19 @@ import (
 type Options struct {
 	// Seed drives the randomized candidate selection.
 	Seed int64
-	// MaxIters bounds accepted+rejected attempts.
-	MaxIters int
-	// Patience stops after this many consecutive non-improvements.
-	Patience int
 }
+
+// The original evaluation's run length: maxIters bounds
+// accepted+rejected attempts, and patience stops a run after that many
+// consecutive non-improvements.
+const (
+	maxIters int = 300
+	patience int = 25
+)
 
 // Defaults mirrors the original evaluation's settings.
 func Defaults() Options {
-	return Options{Seed: 1, MaxIters: 300, Patience: 25}
+	return Options{Seed: 1}
 }
 
 // Stats reports what a run did.
@@ -82,7 +86,7 @@ func (o *Optimizer) Run() (*Stats, error) {
 	st.InitialPeriod = a.Period
 	best := a.Period
 	dry := 0
-	for iter := 0; iter < o.Opt.MaxIters && dry < o.Opt.Patience; iter++ {
+	for iter := 0; iter < maxIters && dry < patience; iter++ {
 		st.Iterations++
 		improved, action, err := o.step(a, best)
 		if err != nil {
@@ -213,11 +217,7 @@ func BestOf(nl *netlist.Netlist, pl *placement.Placement, dm arch.DelayModel, op
 	var bestPL *placement.Placement
 	var bestSt *Stats
 	for r := 0; r < runs; r++ {
-		o := New(nl.Clone(), pl.Clone(), dm, Options{
-			Seed:     opt.Seed + int64(r)*7919,
-			MaxIters: opt.MaxIters,
-			Patience: opt.Patience,
-		})
+		o := New(nl.Clone(), pl.Clone(), dm, Options{Seed: opt.Seed + int64(r)*7919})
 		st, err := o.Run()
 		if err != nil {
 			return nil, nil, nil, err

@@ -112,7 +112,8 @@ func Equivalent(a, b *netlist.Netlist, opt EquivOptions) error {
 
 // simResult is one netlist's response to one input vector.
 type simResult struct {
-	nl *netlist.Netlist
+	nl    *netlist.Netlist
+	order []netlist.CellID
 	// outVal is each live class's output value. All members of a class
 	// must agree — simulate fails otherwise (replica inconsistency).
 	outVal map[netlist.EquivID]bool
@@ -120,8 +121,6 @@ type simResult struct {
 	// class and pin index: what the output pad emits, what the
 	// register latches next cycle.
 	sinkVal map[sinkKey]bool
-	// sinkOf names a representative sink cell per key, for messages.
-	sinkOf map[sinkKey]string
 }
 
 type sinkKey struct {
@@ -134,9 +133,9 @@ type sinkKey struct {
 func simulate(n *netlist.Netlist, order []netlist.CellID, in map[netlist.EquivID]bool) (*simResult, error) {
 	res := &simResult{
 		nl:      n,
+		order:   order,
 		outVal:  make(map[netlist.EquivID]bool),
 		sinkVal: make(map[sinkKey]bool),
-		sinkOf:  make(map[sinkKey]string),
 	}
 	netVal := make([]bool, n.NetCap())
 	record := func(c *netlist.Cell, val bool) error {
@@ -168,24 +167,28 @@ func simulate(n *netlist.Netlist, order []netlist.CellID, in map[netlist.EquivID
 		if c.Out != netlist.None {
 			netVal[c.Out] = val
 		}
-		// Observed sink pins.
-		if c.IsSink() {
-			for pin, net := range c.Fanin {
-				if net == netlist.None {
-					continue
-				}
-				k := sinkKey{class: c.Equiv, pin: int32(pin)}
-				pv := netVal[net]
-				if prev, ok := res.sinkVal[k]; ok {
-					if prev != pv {
-						return nil, fmt.Errorf("netlist %s: sinks %s and %s (class %d) latch different pin-%d values",
-							n.Name, res.sinkOf[k], c.Name, c.Equiv, pin)
-					}
-					continue
-				}
-				res.sinkVal[k] = pv
-				res.sinkOf[k] = c.Name
+	}
+	// Observed sink pins, once every net holds its value: the order
+	// puts registered LUTs first, ahead of the logic that feeds them.
+	for _, id := range order {
+		c := n.Cell(id)
+		if !c.IsSink() {
+			continue
+		}
+		for pin, net := range c.Fanin {
+			if net == netlist.None {
+				continue
 			}
+			k := sinkKey{class: c.Equiv, pin: int32(pin)}
+			pv := netVal[net]
+			if prev, ok := res.sinkVal[k]; ok {
+				if prev != pv {
+					return nil, fmt.Errorf("netlist %s: sinks %s and %s (class %d) latch different pin-%d values",
+						n.Name, res.sinkName(k), c.Name, c.Equiv, pin)
+				}
+				continue
+			}
+			res.sinkVal[k] = pv
 		}
 	}
 	return res, nil
@@ -203,18 +206,32 @@ func compareSim(a, b *simResult, in map[netlist.EquivID]bool) error {
 	for k, av := range a.sinkVal {
 		bv, ok := b.sinkVal[k]
 		if !ok {
-			return fmt.Errorf("sink pin (class %d, pin %d, e.g. %s) disappeared", k.class, k.pin, a.sinkOf[k])
+			return fmt.Errorf("sink pin (class %d, pin %d, e.g. %s) disappeared", k.class, k.pin, a.sinkName(k))
 		}
 		if av != bv {
-			return fmt.Errorf("sink %s (class %d) pin %d differs: %v vs %v", b.sinkOf[k], k.class, k.pin, av, bv)
+			return fmt.Errorf("sink %s (class %d) pin %d differs: %v vs %v", b.sinkName(k), k.class, k.pin, av, bv)
 		}
 	}
 	for k := range b.sinkVal {
 		if _, ok := a.sinkVal[k]; !ok {
-			return fmt.Errorf("sink pin (class %d, pin %d, e.g. %s) appeared from nowhere", k.class, k.pin, b.sinkOf[k])
+			return fmt.Errorf("sink pin (class %d, pin %d, e.g. %s) appeared from nowhere", k.class, k.pin, b.sinkName(k))
 		}
 	}
 	return nil
+}
+
+// sinkName names the representative sink cell of pin k: the first
+// sink in topological order that observes it, the one whose value
+// simulate recorded. Only failure messages need it, so it scans rather
+// than keeping a name per pin on the hot path.
+func (r *simResult) sinkName(k sinkKey) string {
+	for _, id := range r.order {
+		c := r.nl.Cell(id)
+		if c.IsSink() && c.Equiv == k.class && int(k.pin) < len(c.Fanin) && c.Fanin[k.pin] != netlist.None {
+			return c.Name
+		}
+	}
+	return ""
 }
 
 // pseudoLUT is the pseudo-function of one class: a splitmix-style hash

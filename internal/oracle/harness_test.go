@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -180,4 +181,65 @@ func TestEquivalentCatchesRewire(t *testing.T) {
 	if err := Equivalent(nl, bad, EquivOptions{Seed: 1}); err == nil {
 		t.Fatal("Equivalent accepted a rewired output pad")
 	}
+}
+
+// TestEquivalentNamesSinks reaches each sink-pin failure of the
+// checker — a pin whose value differs, one that disappeared, one that
+// appeared, and two replicas latching different values — and checks
+// that every message names the sink cells it is about.
+func TestEquivalentNamesSinks(t *testing.T) {
+	// The LUT f reads i0 and i1, the LUT g reads i0 alone, and their
+	// pseudo-functions differ on some vector. The output pad "out"
+	// observes f and the register "reg" observes g; with extra, a
+	// second pad "extra" observes g too.
+	build := func(extra bool) *netlist.Netlist {
+		nl := netlist.New("names")
+		nl.AddCell("i0", netlist.IPad, 0)
+		nl.AddCell("i1", netlist.IPad, 0)
+		f := nl.AddCell("f", netlist.LUT, 2).ID
+		nl.ConnectByName(f, 0, "i0")
+		nl.ConnectByName(f, 1, "i1")
+		nl.ConnectByName(nl.AddCell("g", netlist.LUT, 1).ID, 0, "i0")
+		nl.ConnectByName(nl.AddCell("out", netlist.OPad, 1).ID, 0, "f")
+		reg := nl.AddCell("reg", netlist.LUT, 1)
+		reg.Registered = true
+		nl.ConnectByName(reg.ID, 0, "g")
+		if extra {
+			nl.ConnectByName(nl.AddCell("extra", netlist.OPad, 1).ID, 0, "g")
+		}
+		return nl
+	}
+	cell := func(nl *netlist.Netlist, name string) netlist.CellID {
+		id, ok := nl.CellByName(name)
+		if !ok {
+			t.Fatalf("no cell %s", name)
+		}
+		return id
+	}
+	want := func(err error, parts ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("Equivalent accepted the netlists; want an error with %q", parts)
+		}
+		for _, p := range parts {
+			if !strings.Contains(err.Error(), p) {
+				t.Errorf("error %q lacks %q", err, p)
+			}
+		}
+	}
+	opt := EquivOptions{Seed: 1}
+
+	a := build(false)
+	rewired := a.Clone()
+	rewired.Connect(cell(rewired, "out"), 0, rewired.Cell(cell(rewired, "g")).Out)
+	want(Equivalent(a, rewired, opt), "sink out (class", "differs")
+
+	want(Equivalent(build(true), a, opt), "e.g. extra)", "disappeared")
+	want(Equivalent(a, build(true), opt), "e.g. extra)", "appeared from nowhere")
+
+	split := a.Clone()
+	rep := split.Replicate(cell(split, "reg"))
+	repID, repName := rep.ID, rep.Name
+	split.Connect(repID, 0, split.Cell(cell(split, "f")).Out)
+	want(Equivalent(a, split, opt), "reg", repName, "latch different pin-0 values")
 }

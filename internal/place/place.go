@@ -24,6 +24,9 @@ import (
 	"repro/internal/wire"
 )
 
+// critExp is the criticality exponent (VPR uses up to 8).
+const critExp float64 = 8
+
 // Options configures a placement run.
 type Options struct {
 	// Seed drives all randomized decisions; equal seeds give equal
@@ -32,8 +35,6 @@ type Options struct {
 	// Lambda is the timing/wirelength tradeoff (VPR default 0.5);
 	// 0 gives a pure wirelength-driven placement.
 	Lambda float64
-	// CritExp is the criticality exponent (VPR uses up to 8).
-	CritExp float64
 	// Effort scales the moves per temperature
 	// (moves = Effort · cells^(4/3); VPR uses 10).
 	Effort float64
@@ -44,11 +45,10 @@ type Options struct {
 // Defaults returns the timing-driven defaults used by the experiments.
 func Defaults() Options {
 	return Options{
-		Seed:    1,
-		Lambda:  0.5,
-		CritExp: 8,
-		Effort:  10,
-		Delay:   arch.DefaultDelayModel(),
+		Seed:   1,
+		Lambda: 0.5,
+		Effort: 10,
+		Delay:  arch.DefaultDelayModel(),
 	}
 }
 
@@ -196,7 +196,7 @@ func (s *state) refreshWire() {
 
 // refreshTiming runs STA and rebuilds per-edge criticalities and the
 // timing cost total. Criticality of connection (u,v) is
-// (path through the edge / Dmax)^CritExp, equivalent to VPR's
+// (path through the edge / Dmax)^critExp, equivalent to VPR's
 // (1 - slack/Dmax)^exp.
 func (s *state) refreshTiming() error {
 	a, err := timing.Analyze(s.nl, s.pl, s.opt.Delay)
@@ -243,7 +243,7 @@ func (s *state) refreshTiming() error {
 			if crit < 0 {
 				crit = 0
 			}
-			w := math.Pow(crit, s.opt.CritExp)
+			w := math.Pow(crit, critExp)
 			if w > s.crit[v] {
 				s.crit[v] = w
 			}

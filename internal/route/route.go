@@ -35,25 +35,22 @@ type Options struct {
 	ChannelWidth int
 	// MaxIters bounds the rip-up/reroute iterations.
 	MaxIters int
-	// PresFacInit/PresFacMult grow the present-congestion penalty each
-	// iteration; HistFac accumulates history cost.
-	PresFacInit float64
-	PresFacMult float64
-	HistFac     float64
-	// BBoxMargin pads each net's routing region (VPR routes within the
-	// net bounding box plus a margin).
-	BBoxMargin int
 }
+
+// The PathFinder schedule: presFacInit/presFacMult grow the
+// present-congestion penalty each iteration; histFac accumulates
+// history cost. bboxMargin pads each net's routing region (VPR routes
+// within the net bounding box plus a margin).
+const (
+	presFacInit float64 = 0.5
+	presFacMult float64 = 1.8
+	histFac     float64 = 1.0
+	bboxMargin  int     = 3
+)
 
 // Defaults returns the router defaults.
 func Defaults() Options {
-	return Options{
-		MaxIters:    30,
-		PresFacInit: 0.5,
-		PresFacMult: 1.8,
-		HistFac:     1.0,
-		BBoxMargin:  3,
-	}
+	return Options{MaxIters: 30}
 }
 
 // Result summarizes one routing run.
@@ -155,15 +152,6 @@ func Route(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayMo
 func newRouter(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.DelayModel, opt Options) *router {
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = Defaults().MaxIters
-	}
-	if opt.PresFacInit == 0 {
-		opt.PresFacInit = Defaults().PresFacInit
-	}
-	if opt.PresFacMult == 0 {
-		opt.PresFacMult = Defaults().PresFacMult
-	}
-	if opt.HistFac == 0 {
-		opt.HistFac = Defaults().HistFac
 	}
 	r := &router{
 		nl: nl, pl: pl, dm: dm, opt: opt,
@@ -298,7 +286,7 @@ func (r *router) region(net *netlist.Net) (x0, y0, x1, y1 int) {
 		y0 = min(y0, int(sl.Y))
 		y1 = max(y1, int(sl.Y))
 	}
-	m := r.opt.BBoxMargin
+	m := bboxMargin
 	return max(0, x0-m), max(0, y0-m), min(r.w-1, x1+m), min(r.h-1, y1+m)
 }
 
@@ -314,7 +302,7 @@ func (r *router) run(ctx context.Context, width int) (feasible bool, iters int, 
 		r.capacity = 1 << 20
 	}
 	clear(r.hist)
-	r.presFac = r.opt.PresFacInit
+	r.presFac = presFacInit
 	for iter := 0; iter < r.opt.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return false, 0, err
@@ -333,7 +321,7 @@ func (r *router) run(ctx context.Context, width int) (feasible bool, iters int, 
 			feasible = true
 			break
 		}
-		r.presFac *= r.opt.PresFacMult
+		r.presFac *= presFacMult
 	}
 	return feasible, iters, nil
 }
@@ -531,7 +519,7 @@ func (r *router) updateCongestion() int {
 	for t := range r.occ {
 		if int(r.occ[t]) > r.capacity {
 			over++
-			r.hist[t] += float64(r.opt.HistFac * float64(int(r.occ[t])-r.capacity))
+			r.hist[t] += float64(histFac * float64(int(r.occ[t])-r.capacity))
 		}
 	}
 	return over

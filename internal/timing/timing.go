@@ -64,12 +64,6 @@ func Intrinsic(dm arch.DelayModel, c *netlist.Cell) float64 {
 	}
 }
 
-// EdgeDelay returns the delay of connection (u, v) under placement pl:
-// wire delay over the Manhattan distance plus v's intrinsic delay.
-func EdgeDelay(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, u, v netlist.CellID) float64 {
-	return dm.WireDelay(arch.Dist(pl.Loc(u), pl.Loc(v))) + Intrinsic(dm, nl.Cell(v))
-}
-
 // Locator provides cell locations. It is the subset of
 // placement.Placement the analyzer needs; the interface keeps this
 // package decoupled and lets tests supply synthetic placements.
