@@ -234,22 +234,31 @@ func (r *simResult) sinkName(k sinkKey) string {
 	return ""
 }
 
-// pseudoLUT is the pseudo-function of one class: a splitmix-style hash
-// of the class ID and the pin-ordered input values, reduced to one bit.
-// Unconnected pins read constant false.
+// pseudoLUT is the pseudo-function of one class: the splitmix64
+// finalizer run over the class ID, then over the pin-ordered input
+// bits packed 64 to a word, then over the pin count, reduced to one
+// bit. Each class thus reads as an independent random function of its
+// inputs, so two classes share a truth table only as often as chance
+// has it. Unconnected pins read constant false.
 func pseudoLUT(e netlist.EquivID, fanin []netlist.NetID, netVal []bool) bool {
-	h := uint64(e)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	for _, net := range fanin {
-		bit := uint64(0)
+	h := mix64(uint64(e) + 0x9E3779B97F4A7C15)
+	var word uint64
+	for i, net := range fanin {
 		if net != netlist.None && netVal[net] {
-			bit = 1
+			word |= 1 << (i % 64)
 		}
-		h ^= bit + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
+		if i%64 == 63 {
+			h, word = mix64(h^word), 0
+		}
 	}
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	return h&1 == 1
+	return mix64(mix64(h^word)+uint64(len(fanin)))&1 == 1
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
 func sortEquivs(es []netlist.EquivID) {

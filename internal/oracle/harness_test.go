@@ -243,3 +243,64 @@ func TestEquivalentNamesSinks(t *testing.T) {
 	split.Connect(repID, 0, split.Cell(cell(split, "f")).Out)
 	want(Equivalent(a, split, opt), "reg", repName, "latch different pin-0 values")
 }
+
+// TestPseudoLUTSeparatesClasses counts the class pairs among 0–511
+// whose pseudo-functions share a truth table, for 2-, 3- and 4-input
+// LUTs, against the C(512, 2) / 2^(2^k) pairs that independent random
+// functions share on average (8,176, 511 and 2). A sink rewired
+// between two classes with a shared truth table would pass
+// Equivalent, so a hash that clusters classes weakens the check.
+func TestPseudoLUTSeparatesClasses(t *testing.T) {
+	for _, tc := range []struct{ k, lo, hi int }{
+		{2, 7400, 9000},
+		{3, 420, 610},
+		{4, 0, 10},
+	} {
+		fanin := make([]netlist.NetID, tc.k)
+		for i := range fanin {
+			fanin[i] = netlist.NetID(i)
+		}
+		val := make([]bool, tc.k)
+		tables := map[uint64]int{}
+		pairs := 0
+		for e := netlist.EquivID(0); e < 512; e++ {
+			var table uint64
+			for v := 0; v < 1<<tc.k; v++ {
+				for i := range val {
+					val[i] = v>>i&1 == 1
+				}
+				if pseudoLUT(e, fanin, val) {
+					table |= 1 << v
+				}
+			}
+			pairs += tables[table]
+			tables[table]++
+		}
+		if pairs < tc.lo || pairs > tc.hi {
+			t.Errorf("%d-input LUTs: %d class pairs share a truth table, want %d to %d", tc.k, pairs, tc.lo, tc.hi)
+		}
+	}
+
+	// f and g read the same two inputs; rewiring the pad that observes
+	// f to g must change what the pad sees.
+	nl := netlist.New("pair")
+	nl.AddCell("i0", netlist.IPad, 0)
+	nl.AddCell("i1", netlist.IPad, 0)
+	for _, name := range []string{"f", "g"} {
+		c := nl.AddCell(name, netlist.LUT, 2).ID
+		nl.ConnectByName(c, 0, "i0")
+		nl.ConnectByName(c, 1, "i1")
+	}
+	nl.ConnectByName(nl.AddCell("out", netlist.OPad, 1).ID, 0, "f")
+	f, _ := nl.CellByName("f")
+	g, _ := nl.CellByName("g")
+	if ef, eg := nl.Cell(f).Equiv, nl.Cell(g).Equiv; ef != 2 || eg != 3 {
+		t.Fatalf("f and g are classes %d and %d, want 2 and 3", ef, eg)
+	}
+	rewired := nl.Clone()
+	out, _ := rewired.CellByName("out")
+	rewired.Connect(out, 0, rewired.Cell(g).Out)
+	if err := Equivalent(nl, rewired, EquivOptions{Seed: 1}); err == nil {
+		t.Error("Equivalent accepted the pad rewired from f (class 2) to g (class 3)")
+	}
+}

@@ -14,7 +14,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuits"
+	"repro/internal/netlist"
 	"repro/internal/place"
+	"repro/internal/timing"
 )
 
 // Routing golden suite: the engine golden specs, placed exactly as
@@ -73,30 +75,49 @@ func fingerprint(res *Result) routeFingerprint {
 	}
 }
 
-func goldenSpecs() []circuits.Spec {
-	return []circuits.Spec{
-		{Name: "gold-comb", LUTs: 16, Inputs: 4, Outputs: 3, Seed: 41},
-		{Name: "gold-seq", LUTs: 14, Inputs: 4, Outputs: 2, RegisteredFrac: 0.3, Seed: 42},
-		{Name: "gold-wide", LUTs: 22, Inputs: 6, Outputs: 4, Depth: 3, Seed: 43},
+// goldenDesign is one golden circuit and the side of the grid it is
+// placed on.
+type goldenDesign struct {
+	spec circuits.Spec
+	n    int
+}
+
+// goldenDesigns are the routing-golden circuits. gold-large is the
+// minimum square for its 100 LUTs, and its width search probes
+// infeasible widths above the pin bound (8 and 10, against a bound of
+// 5), so congestion negotiation decides its Wmin.
+func goldenDesigns() []goldenDesign {
+	return []goldenDesign{
+		{circuits.Spec{Name: "gold-comb", LUTs: 16, Inputs: 4, Outputs: 3, Seed: 41}, 8},
+		{circuits.Spec{Name: "gold-seq", LUTs: 14, Inputs: 4, Outputs: 2, RegisteredFrac: 0.3, Seed: 42}, 8},
+		{circuits.Spec{Name: "gold-wide", LUTs: 22, Inputs: 6, Outputs: 4, Depth: 3, Seed: 43}, 8},
+		{circuits.Spec{Name: "gold-large", LUTs: 100, Inputs: 8, Outputs: 6, Seed: 44}, 10},
 	}
 }
 
+// placeGolden generates and places a golden design exactly as the
+// engine golden suite does.
+func placeGolden(t *testing.T, d goldenDesign) (*netlist.Netlist, timing.Locator, *arch.FPGA) {
+	t.Helper()
+	nl, err := circuits.Generate(d.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := arch.New(d.n)
+	po := place.Defaults()
+	po.Effort = 1
+	po.Seed = d.spec.Seed
+	pl, err := place.Place(nl, f, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nl, pl, f
+}
+
 func TestRouteGolden(t *testing.T) {
-	for _, spec := range goldenSpecs() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			nl, err := circuits.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := arch.New(8)
-			po := place.Defaults()
-			po.Effort = 1
-			po.Seed = spec.Seed
-			pl, err := place.Place(nl, f, po)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, d := range goldenDesigns() {
+		t.Run(d.spec.Name, func(t *testing.T) {
+			nl, pl, f := placeGolden(t, d)
 			inf, err := Infinite(nl, pl, f, dm(), Defaults())
 			if err != nil {
 				t.Fatal(err)
@@ -115,7 +136,7 @@ func TestRouteGolden(t *testing.T) {
 			}
 			got = append(got, '\n')
 
-			path := filepath.Join("testdata", spec.Name+".json")
+			path := filepath.Join("testdata", d.spec.Name+".json")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)

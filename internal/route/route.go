@@ -97,6 +97,9 @@ type router struct {
 	occ      []int16
 	hist     []float64
 	presFac  float64
+	// cost[t] is nodeCost(t): run rebuilds it after clearing occ, and
+	// occupy recomputes a tile's entry whenever its occ grows.
+	cost []float64
 
 	// nets holds the routed nets in routing order. Their sinks, nearest
 	// first, are conns[lo:hi]; all of it depends only on the placement.
@@ -116,13 +119,19 @@ type router struct {
 	treeTiles []int32
 	treeStamp int32
 
-	// Dijkstra scratch; visited[t] == epoch marks dist/prev as current.
-	dist    []float64
-	prev    []int32
-	visited []int32
-	epoch   int32
-	q       []pqItem
-	path    []int32
+	// Dijkstra scratch, one record per tile.
+	search []searchRec
+	epoch  int32
+	q      []pqItem
+	path   []int32
+}
+
+// searchRec is one tile's Dijkstra state; dist and prev are current
+// iff visited == the router's epoch.
+type searchRec struct {
+	dist    float64
+	prev    int32
+	visited int32
 }
 
 // netRoute is one net's fixed routing input.
@@ -160,11 +169,10 @@ func newRouter(nl *netlist.Netlist, pl timing.Locator, f *arch.FPGA, dm arch.Del
 	n := r.w * r.h
 	r.occ = make([]int16, n)
 	r.hist = make([]float64, n)
+	r.cost = make([]float64, n)
 	r.inTree = make([]int32, n)
 	r.treeDist = make([]int32, n)
-	r.dist = make([]float64, n)
-	r.prev = make([]int32, n)
-	r.visited = make([]int32, n)
+	r.search = make([]searchRec, n)
 	r.netOff = make([]int32, nl.NetCap())
 	for i := range r.netOff {
 		r.netOff[i] = -1
@@ -311,6 +319,9 @@ func (r *router) run(ctx context.Context, width int) (feasible bool, iters int, 
 		// Rip up everything and reroute under current penalties (the
 		// original PathFinder formulation).
 		clear(r.occ)
+		for t := range r.cost {
+			r.cost[t] = r.nodeCost(int32(t))
+		}
 		r.wire = 0
 		for i := range r.nets {
 			if err := r.routeNet(&r.nets[i]); err != nil {
@@ -360,6 +371,12 @@ func (r *router) nodeCost(t int32) float64 {
 	return base * (1 + float64(float64(over)*r.presFac))
 }
 
+// occupy adds one net to tile t and keeps cost[t] equal to nodeCost(t).
+func (r *router) occupy(t int32) {
+	r.occ[t]++
+	r.cost[t] = r.nodeCost(t)
+}
+
 // routeNet grows the net's Steiner tree sink by sink (nearest first).
 func (r *router) routeNet(nr *netRoute) error {
 	if r.treeStamp == math.MaxInt32 {
@@ -370,7 +387,7 @@ func (r *router) routeNet(nr *netRoute) error {
 	r.inTree[nr.driver] = r.treeStamp
 	r.treeDist[nr.driver] = 0
 	r.treeTiles = append(r.treeTiles[:0], nr.driver)
-	r.occ[nr.driver]++
+	r.occupy(nr.driver)
 
 	off := r.netOff[nr.id]
 	for _, c := range r.conns[nr.lo:nr.hi] {
@@ -386,9 +403,11 @@ func (r *router) routeNet(nr *netRoute) error {
 	return nil
 }
 
-// pqItem is a Dijkstra frontier entry.
+// pqItem is a Dijkstra frontier entry: a tile and its grid coordinates,
+// 16 bytes in all.
 type pqItem struct {
 	cost float64
+	x, y int16
 	tile int32
 }
 
@@ -443,9 +462,22 @@ func (r *router) pop() pqItem {
 
 // connect runs a multi-source Dijkstra from the current tree to the
 // target tile and commits the found path to the tree.
+//
+// The search ends when a relaxation first reaches the target, not when
+// the target pops: that first distance and predecessor are final. The
+// relaxing tile u was just popped at the heap minimum m, and every
+// later pop costs at least m, because node costs are at least 1 and
+// float addition is monotone; so no later relaxation offers the target
+// less than m + cost[target], and a relaxation overwrites only on a
+// strict <. The predecessor chain from u back to the tree runs through
+// popped tiles, whose records no longer change. Items pop in the order
+// a search to the target's pop would pop them, up to the exit, so the
+// committed path is the one that search commits.
 func (r *router) connect(nr *netRoute, target int32) error {
 	if r.epoch == math.MaxInt32 {
-		clear(r.visited)
+		for t := range r.search {
+			r.search[t].visited = 0
+		}
 		r.epoch = 0
 	}
 	r.epoch++
@@ -455,36 +487,52 @@ func (r *router) connect(nr *netRoute, target int32) error {
 	slices.Sort(r.treeTiles)
 	r.q = r.q[:0]
 	for _, t := range r.treeTiles {
-		r.dist[t] = 0
-		r.prev[t] = -1
-		r.visited[t] = r.epoch
-		r.q = append(r.q, pqItem{0, t})
+		r.search[t] = searchRec{dist: 0, prev: -1, visited: r.epoch}
+		l := r.loc(t)
+		r.q = append(r.q, pqItem{0, l.X, l.Y, t})
 	}
 	found := false
 	for len(r.q) > 0 {
 		it := r.pop()
 		t := it.tile
-		if it.cost > r.dist[t] {
+		if it.cost > r.search[t].dist {
 			continue
 		}
-		if t == target {
+		// Relax the neighbours in the order +x, -x, +y, -y, written out
+		// because a relax helper is too large to inline. Every popped
+		// tile lies in the region, so one compare bounds each side.
+		x, y := it.x, it.y
+		if int(x) < nr.x1 {
+			nt := t + 1
+			if c, s := it.cost+r.cost[nt], &r.search[nt]; s.visited != r.epoch || c < s.dist {
+				*s = searchRec{dist: c, prev: t, visited: r.epoch}
+				r.push(pqItem{c, x + 1, y, nt})
+			}
+		}
+		if int(x) > nr.x0 {
+			nt := t - 1
+			if c, s := it.cost+r.cost[nt], &r.search[nt]; s.visited != r.epoch || c < s.dist {
+				*s = searchRec{dist: c, prev: t, visited: r.epoch}
+				r.push(pqItem{c, x - 1, y, nt})
+			}
+		}
+		if int(y) < nr.y1 {
+			nt := t + int32(r.w)
+			if c, s := it.cost+r.cost[nt], &r.search[nt]; s.visited != r.epoch || c < s.dist {
+				*s = searchRec{dist: c, prev: t, visited: r.epoch}
+				r.push(pqItem{c, x, y + 1, nt})
+			}
+		}
+		if int(y) > nr.y0 {
+			nt := t - int32(r.w)
+			if c, s := it.cost+r.cost[nt], &r.search[nt]; s.visited != r.epoch || c < s.dist {
+				*s = searchRec{dist: c, prev: t, visited: r.epoch}
+				r.push(pqItem{c, x, y - 1, nt})
+			}
+		}
+		if r.search[target].visited == r.epoch {
 			found = true
 			break
-		}
-		x, y := int(t)%r.w, int(t)/r.w
-		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			nx, ny := x+d[0], y+d[1]
-			if nx < nr.x0 || nx > nr.x1 || ny < nr.y0 || ny > nr.y1 {
-				continue
-			}
-			nt := int32(ny*r.w + nx)
-			c := it.cost + r.nodeCost(nt)
-			if r.visited[nt] != r.epoch || c < r.dist[nt] {
-				r.visited[nt] = r.epoch
-				r.dist[nt] = c
-				r.prev[nt] = t
-				r.push(pqItem{c, nt})
-			}
 		}
 	}
 	if !found {
@@ -493,7 +541,7 @@ func (r *router) connect(nr *netRoute, target int32) error {
 	// Commit the path; distances from the driver accumulate along it.
 	// path runs target .. join point, and the join point is on the tree.
 	path := r.path[:0]
-	for t := target; ; t = r.prev[t] {
+	for t := target; ; t = r.search[t].prev {
 		path = append(path, t)
 		if r.inTree[t] == r.treeStamp {
 			break
@@ -507,7 +555,7 @@ func (r *router) connect(nr *netRoute, target int32) error {
 		r.inTree[t] = r.treeStamp
 		r.treeDist[t] = base
 		r.treeTiles = append(r.treeTiles, t)
-		r.occ[t]++
+		r.occupy(t)
 	}
 	return nil
 }

@@ -149,7 +149,22 @@ func TestCongestionForcesDetour(t *testing.T) {
 // router tests.
 func placedRandom(t *testing.T, seed int64, luts int) (*netlist.Netlist, timing.Locator, *arch.FPGA) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+	n := randomNetlist(t, rand.New(rand.NewSource(seed)), luts)
+	f := arch.MinSquare(n.NumLUTs(), n.NumIOs())
+	opts := place.Defaults()
+	opts.Seed = seed
+	opts.Effort = 1
+	pl, err := place.Place(n, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, pl, f
+}
+
+// randomNetlist draws a random circuit of six inputs, six outputs and
+// the given number of LUTs, each reading recent signals.
+func randomNetlist(t *testing.T, rng *rand.Rand, luts int) *netlist.Netlist {
+	t.Helper()
 	n := netlist.New("r")
 	var signals []string
 	for i := 0; i < 6; i++ {
@@ -174,15 +189,7 @@ func placedRandom(t *testing.T, seed int64, luts int) (*netlist.Netlist, timing.
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	f := arch.MinSquare(n.NumLUTs(), n.NumIOs())
-	opts := place.Defaults()
-	opts.Seed = seed
-	opts.Effort = 1
-	pl, err := place.Place(n, f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, pl, f
+	return n
 }
 
 func itoa(i int) string {
@@ -313,7 +320,8 @@ func (q *refPQ) Pop() any {
 
 // TestHeapMatchesContainerHeap drives the typed heap and container/heap
 // through the same random push/pop sequences. Costs take four values,
-// so most comparisons tie, and every item carries a distinct tile: the
+// so most comparisons tie, and every item carries a distinct tile and
+// coordinate pair: the
 // two must pop the same items and keep the same array layout after
 // every operation, not merely pop equal costs.
 func TestHeapMatchesContainerHeap(t *testing.T) {
@@ -323,7 +331,7 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 		var ref refPQ
 		for op := 0; op < 400; op++ {
 			if len(ref) == 0 || rng.Intn(5) < 3 {
-				it := pqItem{cost: float64(rng.Intn(4)) * 0.5, tile: int32(op)}
+				it := pqItem{cost: float64(rng.Intn(4)) * 0.5, x: int16(op % 20), y: int16(op / 20), tile: int32(op)}
 				r.push(it)
 				heap.Push(&ref, it)
 			} else if got, want := r.pop(), heap.Pop(&ref).(pqItem); got != want {

@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/circuits"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/timing"
 )
 
@@ -142,7 +140,7 @@ type widthFixture struct {
 }
 
 // widthFixtures are random placed circuits over several seeds and sizes
-// plus the three routing-golden designs.
+// plus the routing-golden designs.
 func widthFixtures(t *testing.T) []widthFixture {
 	var fx []widthFixture
 	for _, seed := range []int64{1, 2, 21, 33} {
@@ -151,20 +149,9 @@ func widthFixtures(t *testing.T) []widthFixture {
 			fx = append(fx, widthFixture{fmt.Sprintf("random-%d-%d", seed, luts), nl, pl, f})
 		}
 	}
-	for _, spec := range goldenSpecs() {
-		nl, err := circuits.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := arch.New(8)
-		po := place.Defaults()
-		po.Effort = 1
-		po.Seed = spec.Seed
-		pl, err := place.Place(nl, f, po)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx = append(fx, widthFixture{spec.Name, nl, pl, f})
+	for _, d := range goldenDesigns() {
+		nl, pl, f := placeGolden(t, d)
+		fx = append(fx, widthFixture{d.spec.Name, nl, pl, f})
 	}
 	return fx
 }
