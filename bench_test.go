@@ -190,6 +190,26 @@ func BenchmarkEmbed2D(b *testing.B) {
 	}
 }
 
+// BenchmarkEmbed2DBounded is BenchmarkEmbed2D's instance bounded at its
+// unbounded fastest root arrival, the tightest status-quo bound that
+// keeps the solve feasible.
+func BenchmarkEmbed2DBounded(b *testing.B) {
+	p := embedProblem(24, embed.Mode{LexDepth: 1})
+	r, err := p.Solve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fast, _ := r.SelectFastest()
+	p.Bound = fast.Sig.D[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEmbedLex3(b *testing.B) {
 	p := embedProblem(24, embed.Mode{LexDepth: 3})
 	b.ReportAllocs()

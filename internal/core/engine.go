@@ -448,6 +448,10 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		MaxPerVertex: maxPerVertex,
 		DelayQuantum: delayQuantumFrac * a.Period,
 		Parallelism:  e.Config.Parallelism,
+		// Nothing slower than the status quo is applied, so the
+		// embedder need not expand what cannot beat it (the solver
+		// ignores the bound for a free root).
+		Bound: statusQuo(a, sink),
 	}
 	ctx := e.ctx
 	if ctx == nil {
@@ -519,7 +523,7 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		if e.Config.Mode.LexDepth > 1 || e.Config.Mode.MC {
 			sel = e.refineLex(res, sel)
 		}
-		if sel.Sig.D[0] > a.SinkArr[sink]+1e-9 {
+		if sel.Sig.D[0] > statusQuo(a, sink) {
 			stopEmbed()
 			return false, nil // embedder cannot beat the status quo
 		}
@@ -560,6 +564,14 @@ func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop
 		return true, nil
 	}
 	return false, nil
+}
+
+// statusQuo is the slowest root arrival an applied solution may have:
+// the critical sink's current arrival, within the 1e-9 tolerance. The
+// embedder prunes with it and the engine rejects with it, so the two
+// read one expression.
+func statusQuo(a *timing.Analysis, sink netlist.CellID) float64 {
+	return a.SinkArr[sink] + 1e-9
 }
 
 // refineLex upgrades a baseline selection for the Lex/Lex-mc modes:

@@ -8,11 +8,12 @@ package embed
 // hot paths entirely. Build with -tags replassert to turn them on.
 const assertEnabled = false
 
-func assertStaircase([]stairStep)                      {}
-func assertNonDominatedCombos(Mode, []combo)           {}
-func assertWaveOrder(Mode, *Sig, bool, *Sig)           {}
-func assertNoReverseDomination(Mode, []solution, *Sig) {}
-func assertFrontier(Mode, []FrontierSol, bool)         {}
-func assertKeyable(*Sig)                               {}
-func poisonScratch(*solverScratch)                     {}
-func poisonSlab([]solution)                            {}
+func assertStaircase([]stairStep)                        {}
+func assertNonDominatedCombos(Mode, []combo)             {}
+func assertWaveOrder(Mode, *Sig, bool, *Sig)             {}
+func assertNoReverseDomination(Mode, []solution, *Sig)   {}
+func assertFrontier(Mode, []FrontierSol, bool)           {}
+func assertWithinBound(*rootBound, NodeID, Vertex, *Sig) {}
+func assertKeyable(*Sig)                                 {}
+func poisonScratch(*solverScratch)                       {}
+func poisonSlab([]solution)                              {}

@@ -95,6 +95,18 @@ func assertFrontier(m Mode, frontier []FrontierSol, crossVertex bool) {
 	}
 }
 
+// assertWithinBound panics when a bounded wavefront has accepted a
+// solution of node id at vertex v that misses the bound: d0 + LB(id, v)
+// above T. Every way into the accepted lists, the seeds and the pushes,
+// must pass the status-quo prune first.
+func assertWithinBound(b *rootBound, id NodeID, v Vertex, s *Sig) {
+	if lb := b.lb(id, v); b.over(s.D[0], lb) {
+		panic(fmt.Sprintf(
+			"replassert: node %d accepted at vertex %d with d0 %g + LB %g over the bound %g",
+			id, v, s.D[0], lb, b.t))
+	}
+}
+
 // assertKeyable panics when a signature about to become a heap key has
 // a NaN cost or max arrival: ordKey has no place for NaN, and the
 // poison putScratch and the slab pool write into released buffers is a

@@ -100,6 +100,18 @@ func TestAssertFrontierFires(t *testing.T) {
 	assertFrontier(m, []FrontierSol{{Sig: cheap}, {Sig: dominated}}, true)
 }
 
+func TestAssertWithinBoundFires(t *testing.T) {
+	// Node 1 has ancestors' intrinsic 0.5; vertex 1 is 1 wire delay from
+	// the root, so LB(1, 1) = 1.5 against a bound of 2.
+	b := &rootBound{t: 2, tAbs: 2, anc: []float64{0, 0.5}, dist: []float64{0, 1}}
+	late := newLeafSig(Mode{}, 0.75, false)
+	mustPanic(t, "assertWithinBound", func() {
+		assertWithinBound(b, 1, 1, &late)
+	})
+	inTime := newLeafSig(Mode{}, 0.5, false)
+	assertWithinBound(b, 1, 1, &inTime)
+}
+
 // TestSolveUnderAssertions runs the solver end to end — serial and
 // parallel — with every invariant armed, on the same randomized
 // instances the determinism suite uses.
@@ -107,6 +119,19 @@ func TestSolveUnderAssertions(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		p := randomProblem(seed, 4, 4, 3, Mode{}, false)
 		solveBoth(t, "replassert-random", p, 2, 4)
+	}
+	// Larger instances bounded at their fastest root arrival: the
+	// status-quo prune drops join seeds and pushes, and every accept is
+	// checked against the bound.
+	for seed := int64(0); seed < 4; seed++ {
+		p := randomProblem(seed, 7, 7, 8, Mode{}, false)
+		ref, err := p.Solve()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fast, _ := ref.SelectFastest()
+		p.Bound = fast.Sig.D[0]
+		solveBoth(t, "replassert-bounded", p, 2, 4)
 	}
 }
 

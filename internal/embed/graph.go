@@ -45,11 +45,6 @@ type Edge struct {
 type Graph struct {
 	adj     [][]Edge
 	blocked []bool
-	// cost indexes directed edge costs for O(1) lookup (route
-	// reconstruction walks edges by endpoint pair; scanning Adj per
-	// hop is wasted work on wide windows). Parallel edges keep the
-	// first inserted cost, matching the Adj scan order.
-	cost map[uint64]float64
 
 	// Grid metadata (zero for non-grid graphs): the graph covers FPGA
 	// locations [x0, x0+w) x [y0, y0+h).
@@ -58,12 +53,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph with n vertices and no edges.
 func NewGraph(n int) *Graph {
-	return &Graph{adj: make([][]Edge, n), blocked: make([]bool, n), cost: make(map[uint64]float64, 4*n)}
-}
-
-// edgeKey packs a directed edge into a cost-index key.
-func edgeKey(from, to Vertex) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
+	return &Graph{adj: make([][]Edge, n), blocked: make([]bool, n)}
 }
 
 // NumVertices returns the vertex count.
@@ -76,20 +66,19 @@ func (g *Graph) AddEdge(from, to Vertex, cost, delay float64) {
 		panic(fmt.Sprintf("embed: edge cost must be positive, got %v", cost))
 	}
 	g.adj[from] = append(g.adj[from], Edge{To: to, Cost: cost, Delay: delay})
-	if g.cost == nil {
-		g.cost = make(map[uint64]float64)
-	}
-	//replint:ignore floatcmp -- zero is the absent-entry sentinel; edge costs are positive and stored, never accumulated
-	if k := edgeKey(from, to); g.cost[k] == 0 {
-		g.cost[k] = cost // edge costs are positive, so 0 means absent
-	}
 }
 
-// EdgeCost returns the wire cost of the directed edge (from, to) in
-// O(1), or false when the graph has no such edge.
+// EdgeCost returns the wire cost of the directed edge (from, to), or
+// false when the graph has no such edge. Of parallel edges the first
+// inserted wins. A scan of Adj(from): a vertex has a handful of
+// out-edges, and only route reconstruction asks.
 func (g *Graph) EdgeCost(from, to Vertex) (float64, bool) {
-	c, ok := g.cost[edgeKey(from, to)]
-	return c, ok
+	for i := range g.adj[from] {
+		if e := &g.adj[from][i]; e.To == to {
+			return e.Cost, true
+		}
+	}
+	return 0, false
 }
 
 // AddBiEdge inserts edges in both directions.

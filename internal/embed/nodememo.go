@@ -10,9 +10,12 @@ package embed
 // control, every vertex's capacity), the node's own fields (vertex,
 // arrival, intrinsic delay, critical flag), its children's keys in
 // order and, for an internal node, its placement cost at every
-// unblocked vertex. Stored sets hold only node-relative indices, so a
-// hit is shared read-only under any NodeID and by every Result that
-// reads it while the memo keeps it.
+// unblocked vertex. A bounded solve (Problem.Bound) adds the bound T
+// and the root vertex to the solve-wide inputs and the node's gate term
+// (its ancestors' intrinsic delay) to the node's own: what the prune
+// keeps of a node depends on all three. Stored sets hold only
+// node-relative indices, so a hit is shared read-only under any NodeID
+// and by every Result that reads it while the memo keeps it.
 //
 // The memo holds exactly the nodes of the last completed solve. A
 // solve looks every node up before it computes any, moves the hits
@@ -75,7 +78,8 @@ func NewNodeMemo() *NodeMemo {
 }
 
 // memoBase hashes the inputs every node of the solve shares.
-func (p *Problem) memoBase() Hasher {
+func (r *Result) memoBase() Hasher {
+	p := r.p
 	h := NewHasher()
 	p.G.Fingerprint(&h)
 	p.Mode.Fingerprint(&h)
@@ -85,6 +89,10 @@ func (p *Problem) memoBase() Hasher {
 		for v := range p.G.NumVertices() {
 			h.Int(p.capacity(Vertex(v)))
 		}
+	}
+	if r.bound != nil {
+		h.F64(p.Bound)
+		h.U64(uint64(uint32(p.T.Nodes[p.T.Root].Vertex)))
 	}
 	return h
 }
@@ -97,6 +105,9 @@ func (r *Result) memoNode(h *Hasher, id NodeID, sc *solverScratch) {
 	h.F64(n.Arr)
 	h.F64(n.Intrinsic)
 	h.Bool(n.Critical)
+	if r.bound != nil {
+		h.F64(r.bound.anc[id])
+	}
 	h.Int(len(n.Children))
 	for _, c := range n.Children {
 		h.U64(sc.nodeFP[c].Hi)

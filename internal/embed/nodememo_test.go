@@ -110,7 +110,6 @@ func memoSequence(t *testing.T, base *Problem) []*Problem {
 	for i := range edge.G.adj[from] {
 		if e := &edge.G.adj[from][i]; e.To == to {
 			e.Cost += 2
-			edge.G.cost[edgeKey(from, to)] = e.Cost
 			break
 		}
 	}
@@ -133,7 +132,7 @@ func cloneTree(t *Tree) *Tree {
 	return c
 }
 
-// cloneGraph deep-copies a graph's edges, blocked flags and cost index.
+// cloneGraph deep-copies a graph's edges and blocked flags.
 func cloneGraph(g *Graph) *Graph {
 	c := *g
 	c.adj = make([][]Edge, len(g.adj))
@@ -141,10 +140,6 @@ func cloneGraph(g *Graph) *Graph {
 		c.adj[v] = append([]Edge(nil), g.adj[v]...)
 	}
 	c.blocked = append([]bool(nil), g.blocked...)
-	c.cost = make(map[uint64]float64, len(g.cost))
-	for k, v := range g.cost {
-		c.cost[k] = v
-	}
 	return &c
 }
 
@@ -257,6 +252,69 @@ func TestNodeMemoEquivalence(t *testing.T) {
 				case step == len(seq)-1 && memo.Stats.Hits == before.Hits:
 					t.Fatalf("%s[w=%d]: no repeat served inside the duplicated-subtree solve", mc.name, workers)
 				}
+			}
+		}
+	}
+}
+
+// TestNodeMemoBoundKey pins the bound's place in the memo key: what the
+// status-quo prune keeps of a node depends on T, so two solves that
+// differ only in T share no node and no root, while a repeated bounded
+// solve still serves its root from the slot. Every solve must equal a
+// solve without the memo.
+func TestNodeMemoBoundKey(t *testing.T) {
+	base := randomProblem(11, 7, 7, 6, Mode{LexDepth: 1}, false)
+	ref, err := base.Solve()
+	if err != nil {
+		t.Fatalf("unbounded solve: %v", err)
+	}
+	if len(ref.Frontier) < 2 {
+		t.Fatal("instance has a one-point frontier; the two bounds would prune alike")
+	}
+	// The cheapest point is the slowest: loose keeps the whole frontier,
+	// tight only its fastest point.
+	fast, _ := ref.SelectFastest()
+	loose, tight := *base, *base
+	loose.Bound = ref.Frontier[0].Sig.D[0] + 1
+	tight.Bound = fast.Sig.D[0]
+	// The hits a solve scores through a fresh memo are repeats inside
+	// that solve; through a shared memo, anything more is a node served
+	// from the other solve.
+	inner := func(p *Problem) int {
+		q := *p
+		q.Memo = NewNodeMemo()
+		if _, err := q.Solve(); err != nil {
+			t.Fatalf("fresh memo solve: %v", err)
+		}
+		return q.Memo.Stats.Hits
+	}
+	memo := NewNodeMemo()
+	for step, p := range []*Problem{&loose, &tight, &tight} {
+		want, err := p.Solve()
+		if err != nil {
+			t.Fatalf("step %d: plain solve: %v", step, err)
+		}
+		q := *p
+		q.Memo = memo
+		before, beforeRoots := memo.Stats, memo.Roots
+		got, err := q.Solve()
+		if err != nil {
+			t.Fatalf("step %d: memo solve: %v", step, err)
+		}
+		resultsEqual(t, "bound-key", 1, p, want, got)
+		hits := memo.Stats.Hits - before.Hits
+		switch step {
+		case 1:
+			if repeats := inner(p); hits != repeats {
+				t.Fatalf("a solve with another bound served %d nodes, want the %d repeats inside it", hits, repeats)
+			}
+			if memo.Roots.Hits != beforeRoots.Hits {
+				t.Fatal("a solve with another bound hit the root slot")
+			}
+		case 2:
+			if memo.Stats.Misses != before.Misses || memo.Roots.Hits != beforeRoots.Hits+1 {
+				t.Fatalf("repeating a bounded solve computed %d nodes and scored root %+v after %+v, want 0 and one more hit",
+					memo.Stats.Misses-before.Misses, memo.Roots, beforeRoots)
 			}
 		}
 	}

@@ -46,6 +46,14 @@ type Problem struct {
 	// without it. The memo recycles the node sets it releases, so the
 	// Result is valid only until the memo's next solve.
 	Memo *NodeMemo
+	// Bound, when positive, is the slowest root arrival the caller will
+	// take (the engine's status quo, T). A fixed-root solve in the
+	// linear delay model then drops every partial solution that cannot
+	// reach the root by T (see bound.go), so its frontier holds only
+	// solutions with root arrival at most T, and a solve that finds
+	// none fails as infeasible. Free roots and the load-dependent delay
+	// models ignore it; zero leaves every solve unbounded.
+	Bound float64
 }
 
 func (p *Problem) workers() int {
@@ -145,6 +153,9 @@ type Result struct {
 	placeOff []int
 	// dom is the dominance test of p.Mode.
 	dom dominance
+	// bound is the status-quo prune of a bounded solve, nil otherwise;
+	// its tables borrow the solving goroutine's scratch like place.
+	bound *rootBound
 }
 
 // ctxCheckStride amortizes ctx.Err polls over this many wavefront pops
@@ -212,6 +223,8 @@ type solverScratch struct {
 	placeOff []int
 	nodeFP   []Fingerprint
 	dupOf    []NodeID
+	// anc and dist back Result.bound's tables.
+	anc, dist []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}
@@ -256,6 +269,9 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 	order := p.T.PostOrder()
 	sc := getScratch()
 	defer putScratch(sc)
+	if p.bounded() {
+		r.bound = newRootBound(p, order, sc)
+	}
 	r.prepare(order, sc)
 	workers := p.workers()
 	if workers > 1 {
@@ -281,7 +297,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Result, error) {
 		res, err = r.finish(workers, sc)
 	}
 	r.memoCommit(sc, err == nil)
-	r.place, r.placeOff = nil, nil
+	r.place, r.placeOff, r.bound = nil, nil, nil
 	return res, err
 }
 
@@ -309,7 +325,7 @@ func (r *Result) prepare(order []NodeID, sc *solverScratch) {
 	m := p.Memo
 	var base Hasher
 	if m != nil {
-		base = p.memoBase()
+		base = r.memoBase()
 		sc.nodeFP = slices.Grow(sc.nodeFP[:0], len(t.Nodes))[:len(t.Nodes)]
 		sc.dupOf = slices.Grow(sc.dupOf[:0], len(t.Nodes))[:len(t.Nodes)]
 	}
@@ -477,6 +493,9 @@ func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 	default:
 		seeds = r.joinSpan(p.T.Root, 0, p.G.NumVertices(), nil, &sc.pool, sc.items[:0], sc)
 	}
+	if r.bound != nil {
+		seeds = r.bound.keep(p.T.Root, seeds)
+	}
 	nv := p.G.NumVertices()
 	sc.accFor(nv)
 	for _, it := range seeds {
@@ -500,6 +519,9 @@ func (r *Result) finish(workers int, sc *solverScratch) (*Result, error) {
 		}
 	}
 	if len(all) == 0 {
+		if r.bound != nil {
+			return nil, fmt.Errorf("embed: no feasible embedding reaches the root by the bound %v", p.Bound)
+		}
 		return nil, fmt.Errorf("embed: no feasible embedding (root unreachable from leaves)")
 	}
 	// Canonical frontier order: totalCmp refines the dominance partial
@@ -893,11 +915,18 @@ type queueItem struct {
 // sc.acc[v], which stays put while they are pushed (pushes grow the
 // arena, never the accepted list), so the popped slot is recycled
 // before its first child is allocated.
+//
+// A bounded solve drops the seeds and the pushes that cannot reach the
+// root by the bound before they enter the heap (see bound.go).
 func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 	p := r.p
 	m := p.Mode
 	nv := p.G.NumVertices()
 	sc.accFor(nv)
+	b := r.bound
+	if b != nil {
+		sc.items = b.keep(id, sc.items)
+	}
 	h := waveHeap{depth: m.lexDepth(), keys: sc.keys, items: sc.items, free: sc.free}
 	h.init()
 	var lastPop Sig
@@ -922,10 +951,18 @@ func (r *Result) runWavefront(id NodeID, sc *solverScratch) {
 		}
 		idx := int32(len(sc.acc[v]) - 1)
 		src := &sc.acc[v][idx].sig
+		if assertEnabled && b != nil {
+			assertWithinBound(b, id, v, src)
+		}
 		adj := p.G.Adj(v)
 		for ei := range adj {
 			e := &adj[ei]
 			if p.G.Blocked(e.To) {
+				continue
+			}
+			// Linear delay: the augmented max arrival is d0 + Delay, the
+			// sum augmentInto forms.
+			if b != nil && b.over(src.D[0]+e.Delay, b.lb(id, e.To)) {
 				continue
 			}
 			cref := h.alloc()
