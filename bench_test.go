@@ -311,12 +311,13 @@ func BenchmarkSTAParallel(b *testing.B) { benchSTA(b, runtime.GOMAXPROCS(0)) }
 // full/incremental pair differ only in Config.Incremental — their
 // outputs are bit-identical (see internal/core
 // TestIncrementalEngineMatchesFull) — so the ms/iter ratio is the pure
-// reuse win of frontier memoization; reuse% reports the node memo's
-// root-slot hit rate over the measured ops. The ops alternate two
-// episodes (A, B, A, B), and the slot keeps only the previous solve's
-// root, so an episode's first solve never finds its root there: this
-// pattern measures the memo's worst case, not the accumulating edits
-// the eco workload and production callers make.
+// win of the engine's exact reuse (node memo and iteration replay);
+// reuse% reports the node memo's hit rate over the measured ops. The
+// ops alternate two episodes (A, B, A, B), and the memo keeps only the
+// previous solve's nodes, so an episode's first solve finds only what
+// it shares with the other episode: this pattern measures the memo's
+// worst case, not the accumulating edits the eco workload and
+// production callers make.
 func benchEngineIterate(b *testing.B, luts int, incremental bool) {
 	nl := benchNetlist(b, luts)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
@@ -363,7 +364,7 @@ func benchEngineIterate(b *testing.B, luts int, incremental bool) {
 	// base: restore the base (untimed harness work), nudge the victim,
 	// re-optimize. The engine is deterministic, so episodes with the
 	// same nudge replay identically; a memo that kept more than the
-	// previous solve would serve them, the root slot does not.
+	// previous solve would serve them, the node memo does not.
 	baseNL, basePL := e.Netlist.Clone(), e.Placement.Clone()
 	episode := func(i int) {
 		e.Netlist, e.Placement = baseNL.Clone(), basePL.Clone()

@@ -92,15 +92,21 @@ type Config struct {
 	// phase and the levelized STA. 1 forces the exact serial path;
 	// results are bit-identical at any setting.
 	Parallelism int
-	// Incremental enables frontier memoization: DP nodes whose subtree
-	// inputs repeat are served from the engine's node memo, and a root
-	// that repeats the previous solve's is served from its root slot.
-	// Results are Float64bits-identical to the unmemoized path at any
+	// Incremental enables exact reuse of deterministic work: DP nodes
+	// whose subtree inputs repeat are served from the engine's node
+	// memo, and a root that repeats the previous solve's from its root
+	// slot; a drift-reverted iteration keeps the analysis of the
+	// objects it restores; and an iteration that repeats the last
+	// reverted one (same live objects, sink, rootFree flag and
+	// replication tree) is replayed from its record instead of re-run.
+	// Results are Float64bits-identical to the path without it at any
 	// setting.
 	Incremental bool
 	// VerifyIncremental cross-checks every solve the memo served in
-	// part, its root included, against a fresh solve without it,
-	// failing the run on any Float64bits difference. Debug/CI mode: it
+	// part, its root included, against a fresh solve without it, and
+	// rebuilds the SPT and tree of every replayed iteration and runs it
+	// in full, requiring the same tree, a revert and the recorded
+	// counter deltas; any difference fails the run. Debug/CI mode: it
 	// costs more than disabling Incremental entirely.
 	VerifyIncremental bool
 }
@@ -159,9 +165,9 @@ type Stats struct {
 	StoppedEarly bool
 	// Phases breaks the run's wall time down by engine phase.
 	Phases PhaseTimes
-	// Incremental reports the frontier memo's root-slot traffic and the
-	// analyses and trees the engine computed (zero when
-	// Config.Incremental is off).
+	// Incremental reports the node memo's traffic, the iterations
+	// replayed and the analyses and trees the engine computed (zero
+	// when Config.Incremental is off).
 	Incremental IncrementalStats
 }
 
@@ -181,11 +187,14 @@ type IncrementalStats struct {
 	STAFallbacks int `json:"sta_fallbacks"`
 	SPTHits      int `json:"spt_hits"`
 	SPTPatches   int `json:"spt_patches"`
-	// Root-slot hits and misses of the node memo: solves whose whole
-	// root frontier repeated the previous solve's, and solves that
-	// joined their root.
+	// FrontierHits and FrontierMisses count the node memo's non-root DP
+	// nodes: served from the memo (an earlier solve's node, or an
+	// earlier repeat in the same solve) and computed.
 	FrontierHits   int `json:"frontier_hits"`
 	FrontierMisses int `json:"frontier_misses"`
+	// Replays counts the iterations replayed from the record of the
+	// drift-reverted iteration they repeat instead of re-run.
+	Replays int `json:"replays"`
 }
 
 // Engine drives placement-coupled replication on one design.
@@ -200,8 +209,14 @@ type Engine struct {
 	// enm is the frontier memo (nil until the first solve with
 	// Config.Incremental on).
 	enm *embed.NodeMemo
-	// analyses and trees count the STAs run and SPTs built.
-	analyses, trees int
+	// analyses and trees count the STAs run and SPTs built, replays the
+	// iterations replayed.
+	analyses, trees, replays int
+	// rec is the last drift-reverted iteration while its pre-iteration
+	// objects may still be live (Config.Incremental only); recordHook,
+	// when a test sets it, sees every record as it is kept.
+	rec        *revertRecord
+	recordHook func(*revertRecord)
 
 	// ctx and phases are live only inside RunContext: the run's
 	// cancellation context and the Stats phase accumulator.
@@ -214,6 +229,11 @@ type Engine struct {
 	bestPeriod float64
 	bestNL     *netlist.Netlist
 	bestPL     *placement.Placement
+	// snapNL/snapPL are the live objects bestNL/bestPL were last cloned
+	// from or to. The loop clones before it mutates, so while they are
+	// still live they still equal the snapshot.
+	snapNL *netlist.Netlist
+	snapPL *placement.Placement
 }
 
 // New returns an engine over the given placed design. The placement
@@ -252,8 +272,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 	// schedule restarts from zero exactly as on a new engine. The
 	// frontier memo deliberately survives: it keys on fingerprints of
 	// every input a solve reads, so nothing the caller changed in
-	// between can make an entry stale.
+	// between can make an entry stale. The revert record and the
+	// snapshot's live twin do not: the caller may have mutated the live
+	// objects they point at.
 	e.eps, e.lastSink, e.dryAtSink = 0, netlist.None, 0
+	e.rec, e.snapNL, e.snapPL = nil, nil, nil
 	a, err := e.analyze()
 	if err != nil {
 		return nil, err
@@ -268,34 +291,50 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		preNL, prePL, prePeriod := e.Netlist, e.Placement, a.Period
-		e.Netlist = preNL.Clone()
-		e.Placement = prePL.Clone()
-		stop, err := e.iterate(a, st, improvedLast)
+		x, err := e.extract(a, improvedLast)
 		if err != nil {
 			return nil, err
 		}
-		st.Iterations = iter + 1
-		if stop {
-			st.StoppedEarly = true
-			break
-		}
-		a, err = e.analyze()
-		if err != nil {
-			return nil, err
-		}
-		if a.Period > prePeriod*(1+maxDrift) {
-			// The iteration's collateral damage (usually dense-design
-			// legalization) exceeded the exploration allowance:
-			// discard it entirely rather than optimize from a damaged
-			// state. ε still grows on the non-improvement, so the
-			// next attempt differs.
-			e.Netlist, e.Placement = preNL, prePL
-			a, err = e.analyze()
+		if x.replay {
+			// A deterministic repeat of the last reverted iteration:
+			// it would rebuild the same tree, window and problem, apply
+			// the same solution and revert again, leaving the live
+			// objects and a as they are.
+			if e.Config.VerifyIncremental {
+				if err := e.verifyReplay(a, x); err != nil {
+					return nil, err
+				}
+			}
+			e.replays++
+			e.rec.delta.addTo(st)
+		} else {
+			var it Stats
+			var reverted, stop bool
+			a, reverted, stop, err = e.runIteration(a, x, &it)
 			if err != nil {
 				return nil, err
 			}
+			d := counters(&it)
+			d.addTo(st)
+			if stop {
+				st.Iterations = iter + 1
+				st.StoppedEarly = true
+				break
+			}
+			// ε grows on the non-improvement, but the next attempt
+			// often does not differ: trimMembers caps the tree at
+			// maxTreeInternal, or no path's slack falls inside the
+			// next ε step. Keep what a reverted pass was given and did,
+			// so that such a repeat is replayed.
+			e.rec = nil
+			if reverted && e.Config.Incremental {
+				e.rec = &revertRecord{nl: e.Netlist, pl: e.Placement, x: x, delta: d}
+				if e.recordHook != nil {
+					e.recordHook(e.rec)
+				}
+			}
 		}
+		st.Iterations = iter + 1
 		st.PerIter = append(st.PerIter, IterStat{
 			Iter:       iter,
 			Period:     a.Period,
@@ -344,6 +383,129 @@ func (e *Engine) RunContext(ctx context.Context) (*Stats, error) {
 	return st, nil
 }
 
+// extraction is an iteration's input as the ε schedule leaves it: the
+// critical sink, whether it may relocate, its ε-SPT, the replication
+// tree of its trimmed members at the current ε, and whether the
+// iteration repeats the last reverted one.
+type extraction struct {
+	sink     netlist.CellID
+	rootFree bool
+	spt      *timing.SPT
+	rt       *rtree.RTree
+	replay   bool
+}
+
+// revertRecord is what the last drift-reverted iteration was given and
+// what it did. Everything an iteration reads is either a function of
+// the live objects (and so of their analysis, which a revert restores
+// with them) or of its rootFree flag and replication tree; ε reaches it
+// only through the tree. So an iteration that starts from the
+// same live objects with the same flag and tree rebuilds the same
+// window and problem, applies the same solution and reverts again.
+type revertRecord struct {
+	nl    *netlist.Netlist
+	pl    *placement.Placement
+	x     extraction
+	delta iterDelta
+}
+
+// iterDelta is what one iteration adds to the run's counters.
+type iterDelta struct {
+	Replicated, Unified, FFRelocations int
+}
+
+// counters returns the counters an iteration run against st added.
+func counters(st *Stats) iterDelta {
+	return iterDelta{Replicated: st.Replicated, Unified: st.Unified, FFRelocations: st.FFRelocations}
+}
+
+// addTo adds d to the run's counters.
+func (d iterDelta) addTo(st *Stats) {
+	st.Replicated += d.Replicated
+	st.Unified += d.Unified
+	st.FFRelocations += d.FFRelocations
+}
+
+// extract advances the ε schedule and the FF-relocation trigger
+// (Sections V-B and V-D) and derives the iteration's ε-SPT and
+// replication tree (Section III). ε starts at zero and grows only "when
+// nonimprovement occurs" at the same critical sink; if that sink is a
+// register, eventually let it move. With Config.Incremental, an
+// iteration that starts from the live objects of the last reverted one
+// with its sink reuses that iteration's SPT, which was built from them,
+// and is a replay when its rootFree flag and its tree also repeat.
+func (e *Engine) extract(a *timing.Analysis, improvedLast bool) (extraction, error) {
+	x := extraction{sink: a.CritSink}
+	if x.sink == e.lastSink && !improvedLast {
+		e.dryAtSink++
+		e.eps += float64(epsStep * a.Period)
+		if e.Config.FFRelocation && e.dryAtSink >= 2 {
+			if c := e.Netlist.Cell(x.sink); c.Kind == netlist.LUT && c.Registered {
+				x.rootFree = true
+			}
+		}
+	} else if x.sink != e.lastSink {
+		e.lastSink = x.sink
+		e.dryAtSink = 0
+		e.eps = 0
+	}
+
+	defer e.timePhase(func(p *PhaseTimes) *float64 { return &p.Extract })()
+	r := e.rec
+	live := r != nil && r.nl == e.Netlist && r.pl == e.Placement && r.x.sink == x.sink
+	if live {
+		x.spt = r.x.spt
+	} else {
+		x.spt = timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, x.sink)
+		e.trees++
+	}
+	rt, err := e.buildTree(a, x.spt)
+	if err != nil {
+		return x, err
+	}
+	x.rt = rt
+	x.replay = live && r.x.rootFree == x.rootFree && rt.Equal(r.x.rt)
+	return x, nil
+}
+
+// buildTree returns the replication tree of the ε-SPT's members at the
+// current ε, trimmed to maxTreeInternal.
+func (e *Engine) buildTree(a *timing.Analysis, spt *timing.SPT) (*rtree.RTree, error) {
+	members := spt.Epsilon(e.eps)
+	trimMembers(spt, members, maxTreeInternal)
+	rt, err := rtree.Build(e.Netlist, a, spt, members)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return rt, nil
+}
+
+// runIteration runs one full pass of the Fig. 11 loop on clones of the
+// live objects, counting into st, and returns the analysis of the state
+// it leaves live. A pass whose collateral damage (usually dense-design
+// legalization) pushes the period past the exploration allowance is
+// discarded entirely rather than optimized from (reverted): the
+// pre-iteration objects are restored and, with Config.Incremental,
+// their analysis a is returned instead of recomputed. stop reports that
+// free slots ran out.
+func (e *Engine) runIteration(a *timing.Analysis, x extraction, st *Stats) (next *timing.Analysis, reverted, stop bool, err error) {
+	preNL, prePL := e.Netlist, e.Placement
+	e.Netlist = preNL.Clone()
+	e.Placement = prePL.Clone()
+	if stop, err = e.iterate(a, x, st); err != nil || stop {
+		return nil, false, stop, err
+	}
+	if next, err = e.analyze(); err != nil || next.Period <= a.Period*(1+maxDrift) {
+		return next, false, false, err
+	}
+	e.Netlist, e.Placement = preNL, prePL
+	if e.Config.Incremental {
+		return a, true, false, nil
+	}
+	next, err = e.analyze()
+	return next, true, false, err
+}
+
 // analyze runs a full STA over the engine's current state with the
 // configured worker count, under the run's context.
 func (e *Engine) analyze() (*timing.Analysis, error) {
@@ -364,9 +526,10 @@ func (e *Engine) harvestIncremental(st *Stats) {
 	is := &st.Incremental
 	is.STAFullRuns = e.analyses
 	is.SPTRebuilds = e.trees
+	is.Replays = e.replays
 	if e.enm != nil {
-		is.FrontierHits = e.enm.Roots.Hits
-		is.FrontierMisses = e.enm.Roots.Misses
+		is.FrontierHits = e.enm.Stats.Hits
+		is.FrontierMisses = e.enm.Stats.Misses
 	}
 }
 
@@ -381,10 +544,16 @@ func (e *Engine) timePhase(sel func(*PhaseTimes) *float64) func() {
 	return func() { *acc += time.Since(t0).Seconds() }
 }
 
-// snapshot saves the current netlist and placement as the best seen.
+// snapshot saves the current netlist and placement as the best seen,
+// unless they are the very objects the snapshot was last taken from or
+// restored to (after a revert to them, say).
 func (e *Engine) snapshot() {
+	if e.Netlist == e.snapNL && e.Placement == e.snapPL {
+		return
+	}
 	e.bestNL = e.Netlist.Clone()
 	e.bestPL = e.Placement.Clone()
+	e.snapNL, e.snapPL = e.Netlist, e.Placement
 }
 
 // restoreBest reinstates the best snapshot ("we save the best solution
@@ -393,47 +562,19 @@ func (e *Engine) snapshot() {
 func (e *Engine) restoreBest() {
 	e.Netlist = e.bestNL.Clone()
 	e.Placement = e.bestPL.Clone()
+	e.snapNL, e.snapPL = e.Netlist, e.Placement
 }
 
-// iterate runs one pass of the Fig. 11 loop; improvedLast says whether
-// the previous iteration reduced the measured period. It reports
-// whether the flow must stop (free slots exhausted).
-func (e *Engine) iterate(a *timing.Analysis, st *Stats, improvedLast bool) (stop bool, err error) {
-	sink := a.CritSink
-	// ε schedule and FF-relocation trigger (Sections V-B and V-D):
-	// ε starts at zero and grows only "when nonimprovement occurs" at
-	// the same critical sink; if that sink is a register, eventually
-	// let it move.
-	rootFree := false
-	if sink == e.lastSink && !improvedLast {
-		e.dryAtSink++
-		e.eps += float64(epsStep * a.Period)
-		if e.Config.FFRelocation && e.dryAtSink >= 2 {
-			if c := e.Netlist.Cell(sink); c.Kind == netlist.LUT && c.Registered {
-				rootFree = true
-			}
-		}
-	} else if sink != e.lastSink {
-		e.lastSink = sink
-		e.dryAtSink = 0
-		e.eps = 0
-	}
-
-	stopExtract := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Extract })
-	spt := timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, sink)
-	e.trees++
-	members := spt.Epsilon(e.eps)
-	trimMembers(spt, members, maxTreeInternal)
-	rt, err := rtree.Build(e.Netlist, a, spt, members)
-	if err != nil {
-		stopExtract()
-		return false, fmt.Errorf("core: %w", err)
-	}
+// iterate runs one pass of the Fig. 11 loop from the extraction x on
+// the live objects, which it mutates. It reports whether the flow must
+// stop (free slots exhausted).
+func (e *Engine) iterate(a *timing.Analysis, x extraction, st *Stats) (stop bool, err error) {
+	sink, rootFree, rt := x.sink, x.rootFree, x.rt
 	if rt.Internal == 0 && !rootFree {
-		stopExtract()
 		return false, nil // nothing movable on this path
 	}
 
+	stopExtract := e.timePhase(func(p *PhaseTimes) *float64 { return &p.Extract })
 	g := e.buildWindow(rt, rootFree)
 	ep, err := rt.ToEmbedProblem(g, e.Netlist, e.Placement, e.Delay, rootFree)
 	stopExtract()

@@ -1,11 +1,13 @@
-// Verification glue for the frontier memo.
+// Verification glue for the engine's exact reuse.
 //
-// Frontier memoization is exact by construction: a solve the node memo
-// served in part, its root included, must be Float64bits-identical to
-// a fresh solve. verifyFrontier enforces that claim at runtime when
-// Config.VerifyIncremental is set, by re-solving without the memo and
-// failing the run on the first bitwise divergence — this is the oracle
-// hook the differential harness and CI cross-checks use.
+// Frontier memoization and iteration replay are exact by construction:
+// a solve the node memo served in part must be Float64bits-identical to
+// a fresh solve, and a replayed iteration must be one that, run in
+// full, reverts with the recorded counter deltas. verifyFrontier and
+// verifyReplay enforce those claims at runtime when
+// Config.VerifyIncremental is set, failing the run on the first
+// divergence — this is the oracle hook the differential harness and CI
+// cross-checks use.
 package core
 
 import (
@@ -15,11 +17,11 @@ import (
 	"slices"
 
 	"repro/internal/embed"
+	"repro/internal/timing"
 )
 
 // verifyFrontier re-solves the freshly constructed problem without the
-// node memo and demands that the memoized result — a solve the memo
-// served in part, or its root slot in whole — match it point for
+// node memo and demands that the memoized result match it point for
 // point, and that every point extract to the same embedding.
 func (e *Engine) verifyFrontier(ctx context.Context, prob *embed.Problem, memo *embed.Result) error {
 	plain := *prob
@@ -80,6 +82,35 @@ func sigEqual(a, b embed.Sig) error {
 	}
 	if a.Branch != b.Branch || a.Peak != b.Peak {
 		return fmt.Errorf("branch/peak %d/%d vs %d/%d", a.Branch, a.Peak, b.Branch, b.Peak)
+	}
+	return nil
+}
+
+// verifyReplay checks the two assumptions a replay rests on and its
+// outcome: an SPT built fresh from the live objects induces the tree
+// the replay reused, and the iteration, run in full from that fresh
+// tree, reverts as the recorded one did with the recorded counter
+// deltas.
+func (e *Engine) verifyReplay(a *timing.Analysis, x extraction) error {
+	x.spt = timing.BuildSPT(e.Netlist, e.Placement, e.Delay, a, x.sink)
+	rt, err := e.buildTree(a, x.spt)
+	if err != nil {
+		return err
+	}
+	if !rt.Equal(x.rt) {
+		return fmt.Errorf("core: replayed iteration at sink %d reused a tree a fresh SPT does not give", x.sink)
+	}
+	x.rt = rt
+	var st Stats
+	_, reverted, stop, err := e.runIteration(a, x, &st)
+	if err != nil {
+		return err
+	}
+	if stop || !reverted {
+		return fmt.Errorf("core: replayed iteration at sink %d does not revert when run in full", x.sink)
+	}
+	if got := counters(&st); got != e.rec.delta {
+		return fmt.Errorf("core: replayed iteration at sink %d recorded %+v, full run %+v", x.sink, e.rec.delta, got)
 	}
 	return nil
 }

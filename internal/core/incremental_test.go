@@ -47,6 +47,7 @@ func runWith(t *testing.T, seed int64, cfg Config) (string, float64, *Stats) {
 // contract: with the incremental machinery on (and self-verifying),
 // the optimized design must be bit-identical to the full engine's.
 func TestIncrementalEngineMatchesFull(t *testing.T) {
+	replays := 0
 	for seed := int64(31); seed <= 33; seed++ {
 		full := Default()
 		full.Incremental = false
@@ -63,31 +64,40 @@ func TestIncrementalEngineMatchesFull(t *testing.T) {
 		if fullSnap != incSnap {
 			t.Fatalf("seed %d: designs diverge:\n--- full\n%s--- incremental\n%s", seed, fullSnap, incSnap)
 		}
-		// VerifyIncremental re-solved every root-slot hit; a run with
-		// none would leave the slot's exactness unchecked.
-		if st.Incremental.FrontierHits == 0 {
-			t.Fatalf("seed %d: incremental run served no root from the slot: %+v", seed, st.Incremental)
-		}
+		replays += st.Incremental.Replays
+	}
+	// VerifyIncremental ran every replayed iteration in full; runs with
+	// none would leave replay unchecked.
+	if replays == 0 {
+		t.Fatal("no incremental run replayed an iteration")
 	}
 }
 
-// TestIncrementalTelemetryFlows checks the run stats surface the
-// frontier memo's root-slot traffic and count every analysis and tree
-// the run computed.
+// TestIncrementalTelemetryFlows checks the run stats surface the node
+// memo's traffic and the replayed iterations, and count every analysis
+// and tree the run computed.
 func TestIncrementalTelemetryFlows(t *testing.T) {
 	cfg := Default()
 	cfg.VerifyIncremental = true
-	_, _, st := runWith(t, 51, cfg)
-	is := st.Incremental
-	if is.FrontierHits == 0 || is.FrontierMisses == 0 {
-		t.Fatalf("root-slot hits or misses not recorded: %+v", is)
+	replays := 0
+	for _, seed := range []int64{51, 33} {
+		_, _, st := runWith(t, seed, cfg)
+		is := st.Incremental
+		if is.FrontierHits == 0 || is.FrontierMisses == 0 {
+			t.Fatalf("seed %d: node-memo hits or misses not recorded: %+v", seed, is)
+		}
+		// Every iteration but a replayed one analyzes at least once and
+		// builds at most one tree, and the run adds an initial and a
+		// final analysis.
+		if is.STAFullRuns < st.Iterations-is.Replays || is.SPTRebuilds == 0 || is.SPTRebuilds > is.STAFullRuns {
+			t.Fatalf("seed %d: analyses and trees disagree with %d iterations: %+v", seed, st.Iterations, is)
+		}
+		if is.STAUpdates+is.STAFallbacks+is.SPTHits+is.SPTPatches != 0 {
+			t.Fatalf("seed %d: counters of the removed STA and SPT reuse are not zero: %+v", seed, is)
+		}
+		replays += is.Replays
 	}
-	// Every iteration analyzes once and builds at most one tree, and
-	// the run adds an initial and a final analysis.
-	if is.STAFullRuns < st.Iterations || is.SPTRebuilds == 0 || is.SPTRebuilds > is.STAFullRuns {
-		t.Fatalf("analyses and trees disagree with %d iterations: %+v", st.Iterations, is)
-	}
-	if is.STAUpdates+is.STAFallbacks+is.SPTHits+is.SPTPatches != 0 {
-		t.Fatalf("counters of the removed STA and SPT reuse are not zero: %+v", is)
+	if replays == 0 {
+		t.Fatal("no run recorded a replayed iteration")
 	}
 }

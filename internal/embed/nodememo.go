@@ -34,7 +34,10 @@ package embed
 // completed, feasible, uncancelled solve: its key, its sets and its
 // frontier. A solve whose root key matches the slot serves its frontier
 // from there and skips the root join. Only the previous problem ever
-// repeats in the engine's traffic, so one entry is enough. The root's
+// repeats in the engine's traffic, so one entry is enough: with
+// core.Config.Incremental a repeat of a reverted iteration is replayed
+// without a solve, so the repeats the slot serves are mostly those that
+// follow an applied iteration, which leaves new live objects. The root's
 // tables are allocated at exact size and never pooled, so the slot
 // stays valid while the memo recycles slabs, and the served Result is
 // bound to the new Problem: Extract walks the new tree, whose children

@@ -110,12 +110,13 @@ func CheckEngine(opt EngineCheckOptions) (*EngineReport, error) {
 	}, nil
 }
 
-// CheckIncremental is the frontier memo's differential oracle: the
-// same placed design optimized with Config.Incremental off and on must
-// produce bit-identical periods and designs. The memoized run
-// additionally enables Config.VerifyIncremental, so every solve the
-// node memo served in part or from its root slot is re-solved from
-// scratch and checked bitwise as it happens.
+// CheckIncremental is the differential oracle of the engine's exact
+// reuse: the same placed design optimized with Config.Incremental off
+// and on must produce bit-identical periods and designs. The
+// incremental run additionally enables Config.VerifyIncremental, so
+// every solve the node memo served in part is re-solved from scratch
+// and checked bitwise, and every replayed iteration is run in full and
+// checked against its record, as it happens.
 func CheckIncremental(opt EngineCheckOptions) (*core.Stats, error) {
 	nl, err := circuits.Generate(opt.Spec)
 	if err != nil {

@@ -67,19 +67,20 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalDifferential pins the frontier memo's exactness claim
-// end to end: solves the memo served, in part or from its root slot,
-// must reproduce the unmemoized engine's optimized design bit for bit,
-// with in-run verification re-solving every memoized frontier from
-// scratch. The runs together must serve a root from the slot, so that
-// verification covers slot hits too.
+// TestIncrementalDifferential pins the exactness claim of the engine's
+// reuse end to end: solves the node memo served in part, and replayed
+// iterations, must reproduce the full engine's optimized design bit for
+// bit, with in-run verification re-solving every memoized frontier from
+// scratch and running every replayed iteration in full. The runs
+// together must replay an iteration, so that verification covers
+// replay too.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	runs := 4
 	if testing.Short() {
 		runs = 2
 	}
-	slotHits := 0
+	replays := 0
 	for i := 0; i < runs; i++ {
 		spec := circuits.Spec{
 			Name:    "incdiff",
@@ -101,10 +102,10 @@ func TestIncrementalDifferential(t *testing.T) {
 		if inc.FrontierHits+inc.FrontierMisses == 0 {
 			t.Fatalf("run %d: incremental run recorded no frontier activity: %+v", i, inc)
 		}
-		slotHits += inc.FrontierHits
+		replays += inc.Replays
 	}
-	if slotHits == 0 {
-		t.Fatal("no run served a root from the slot")
+	if replays == 0 {
+		t.Fatal("no run replayed an iteration")
 	}
 }
 

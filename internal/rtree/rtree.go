@@ -10,6 +10,8 @@ package rtree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -50,6 +52,15 @@ type RTree struct {
 
 // Root returns the root node.
 func (t *RTree) Root() *Node { return &t.Nodes[0] }
+
+// Equal reports whether t and o are the same tree, node for node; a
+// nil o equals no tree.
+func (t *RTree) Equal(o *RTree) bool {
+	return o != nil && t.Internal == o.Internal && slices.EqualFunc(t.Nodes, o.Nodes, func(a, b Node) bool {
+		return a.Cell == b.Cell && a.Pin == b.Pin && math.Float64bits(a.Arr) == math.Float64bits(b.Arr) &&
+			a.Critical == b.Critical && slices.Equal(a.Children, b.Children)
+	})
+}
 
 // Movable reports whether a cell may become an internal tree node: a
 // live, non-registered LUT. Pads and registered LUTs are timing

@@ -389,3 +389,48 @@ func TestFig15Reconvergence(t *testing.T) {
 	_ = d
 	_ = g
 }
+
+// TestEqual pins the tree comparison the engine's iteration replay
+// relies on: member sets that differ only in cells that cannot become
+// internal (an input pad) induce equal trees, while a different
+// internal set, a changed field or a nil tree compare unequal.
+func TestEqual(t *testing.T) {
+	n, loc := fig8(t)
+	a, err := timing.Analyze(n, loc, dm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := id(t, n, "out")
+	spt := timing.BuildSPT(n, loc, dm(), a, out)
+	build := func(names ...string) *RTree {
+		t.Helper()
+		members := map[netlist.CellID]bool{out: true}
+		for _, name := range names {
+			members[id(t, n, name)] = true
+		}
+		rt, err := Build(n, a, spt, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	base := build("f", "d")
+	if !base.Equal(build("f", "d")) || !base.Equal(build("f", "d", "x")) {
+		t.Fatal("trees built from the same internal cells compare unequal")
+	}
+	if base.Equal(build("f", "d", "a")) || base.Equal(nil) {
+		t.Fatal("a different tree or no tree compares equal")
+	}
+	for name, mutate := range map[string]func(*Node){
+		"pin":      func(nd *Node) { nd.Pin++ },
+		"arr":      func(nd *Node) { nd.Arr++ },
+		"critical": func(nd *Node) { nd.Critical = !nd.Critical },
+		"children": func(nd *Node) { nd.Children = append(nd.Children[:len(nd.Children):len(nd.Children)], 0) },
+	} {
+		o := build("f", "d")
+		mutate(&o.Nodes[1])
+		if base.Equal(o) {
+			t.Errorf("a tree with another %s compares equal", name)
+		}
+	}
+}

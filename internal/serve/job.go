@@ -263,8 +263,9 @@ type Result struct {
 	StoppedEarly    bool    `json:"stopped_early,omitempty"`
 	// Phases is the engine's per-phase wall-clock breakdown.
 	Phases core.PhaseTimes `json:"phases"`
-	// Incremental is the engine's memo telemetry: root-slot hits and
-	// misses, and the analyses and trees the run computed.
+	// Incremental is the engine's reuse telemetry: node-memo hits and
+	// misses, iterations replayed, and the analyses and trees the run
+	// computed.
 	Incremental core.IncrementalStats `json:"incremental"`
 	// Coarse per-stage seconds for the whole flow.
 	PlaceSeconds  float64 `json:"place_seconds"`

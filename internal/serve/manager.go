@@ -381,6 +381,7 @@ func (m *Manager) runOne(j *job) {
 			inc := &res.Incremental
 			m.c.frontierHits.Add(int64(inc.FrontierHits))
 			m.c.frontierMisses.Add(int64(inc.FrontierMisses))
+			m.c.replays.Add(int64(inc.Replays))
 		}
 		m.finalizeLocked(j, StateDone, "")
 	case errors.Is(err, context.DeadlineExceeded) && !j.userCancel:

@@ -86,8 +86,8 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestIncrementalCountersAccumulate checks completed jobs' frontier
-// cache telemetry rolls up into the /debug/vars counters.
+// TestIncrementalCountersAccumulate checks completed jobs' node-memo
+// and replay telemetry rolls up into the /debug/vars counters.
 func TestIncrementalCountersAccumulate(t *testing.T) {
 	m := NewManager(Config{
 		Workers: 1,
@@ -95,6 +95,7 @@ func TestIncrementalCountersAccumulate(t *testing.T) {
 			r := &Result{Circuit: "stub"}
 			r.Incremental.FrontierHits = 5
 			r.Incremental.FrontierMisses = 3
+			r.Incremental.Replays = 2
 			return r, nil
 		},
 	})
@@ -107,8 +108,8 @@ func TestIncrementalCountersAccumulate(t *testing.T) {
 		waitState(t, m, st.ID, StateDone)
 	}
 	c := m.Counters()
-	if c.FrontierHits != 10 || c.FrontierMisses != 6 {
-		t.Fatalf("frontier counters = %+v, want 10/6", c)
+	if c.FrontierHits != 10 || c.FrontierMisses != 6 || c.Replays != 4 {
+		t.Fatalf("incremental counters = %+v, want 10/6 and 4 replays", c)
 	}
 }
 

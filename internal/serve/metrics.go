@@ -33,10 +33,11 @@ type counters struct {
 	running       atomic.Int64
 	engineSeconds atomicFloat
 	embedSeconds  atomicFloat
-	// Frontier-memo root-slot counters, accumulated from completed
-	// jobs' engine telemetry.
+	// Node-memo hit and miss counters and replayed iterations,
+	// accumulated from completed jobs' engine telemetry.
 	frontierHits   atomic.Int64
 	frontierMisses atomic.Int64
+	replays        atomic.Int64
 	// Racing and QoS counters: raced jobs run, losing variants
 	// cancelled before they finished, and deadline-class admissions.
 	races            atomic.Int64
@@ -61,9 +62,12 @@ type CounterSnapshot struct {
 	// completed jobs: the live view of where the service spends time.
 	EngineSeconds float64 `json:"engine_seconds"`
 	EmbedSeconds  float64 `json:"embed_seconds"`
-	// Frontier-memo root-slot hits and misses across completed jobs.
+	// Node-memo hits and misses (non-root DP nodes served and
+	// computed) across completed jobs.
 	FrontierHits   int64 `json:"frontier_hits"`
 	FrontierMisses int64 `json:"frontier_misses"`
+	// Engine iterations replayed across completed jobs.
+	Replays int64 `json:"replays"`
 	// Racing and QoS: raced jobs run, losing variants cancelled before
 	// finishing (the racing latency win), deadline-class admissions.
 	Races               int64 `json:"races"`
@@ -89,6 +93,7 @@ func (m *Manager) Counters() CounterSnapshot {
 		EmbedSeconds:        m.c.embedSeconds.load(),
 		FrontierHits:        m.c.frontierHits.Load(),
 		FrontierMisses:      m.c.frontierMisses.Load(),
+		Replays:             m.c.replays.Load(),
 		Races:               m.c.races.Load(),
 		RaceLosersCancelled: m.c.raceCancelled.Load(),
 		JobsDeadline:        m.c.deadlineAccepted.Load(),
