@@ -278,7 +278,8 @@ func benchNetlist(b *testing.B, luts int) *netlist.Netlist {
 	return nl
 }
 
-func benchSTA(b *testing.B, workers int) {
+// BenchmarkSTA times one full STA pass over a placed 2,000-LUT design.
+func BenchmarkSTA(b *testing.B) {
 	nl := benchNetlist(b, 2000)
 	f := arch.MinSquare(nl.NumLUTs(), nl.NumIOs())
 	opts := place.Defaults()
@@ -291,17 +292,11 @@ func benchSTA(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.AnalyzeWorkers(nl, pl, dm, workers); err != nil {
+		if _, err := timing.Analyze(nl, pl, dm); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSTA pins the serial pass (workers=1) so ns/op stays
-// comparable across machines; the Parallel variant fans arrival
-// propagation out per level at GOMAXPROCS.
-func BenchmarkSTA(b *testing.B)         { benchSTA(b, 1) }
-func BenchmarkSTAParallel(b *testing.B) { benchSTA(b, runtime.GOMAXPROCS(0)) }
 
 // benchEngineIterate measures steady-state Fig. 11 iteration latency
 // in the small-perturbation regime the frontier memo targets: the
@@ -339,7 +334,7 @@ func benchEngineIterate(b *testing.B, luts int, incremental bool) {
 	// Perturbation: toggle the slack-richest LUT between its home slot
 	// and the nearest free one — a real placement change whose timing
 	// impact its slack absorbs, so the design stays converged.
-	a, err := timing.AnalyzeWorkers(e.Netlist, e.Placement, dm, 1)
+	a, err := timing.Analyze(e.Netlist, e.Placement, dm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -500,7 +495,7 @@ func BenchmarkLegalize(b *testing.B) {
 		base.Place(mover, base.Loc(host))
 	}
 	dm := arch.DefaultDelayModel()
-	a, err := timing.AnalyzeWorkers(nl, base, dm, 1)
+	a, err := timing.Analyze(nl, base, dm)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 		outPath     = flag.String("out", "", "write the optimized netlist here")
 		report      = flag.Int("report", 0, "print the K worst timing paths after optimization")
 		plot        = flag.Bool("plot", false, "print ASCII floorplans before and after")
-		parallel    = flag.Int("parallel", 0, "engine/STA worker count (0 = all CPUs, 1 = serial)")
+		parallel    = flag.Int("parallel", 0, "embedder worker count (0 = all CPUs, 1 = serial)")
 	)
 	flag.Parse()
 

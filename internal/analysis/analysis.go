@@ -3,8 +3,8 @@
 // external modules), a small Analyzer/Pass API, and the determinism and
 // correctness rules this codebase enforces on itself.
 //
-// The parallel embedding engine and the levelized STA promise
-// bit-identical results at any worker count, and every context-aware
+// The parallel embedding engine promises bit-identical results at any
+// worker count, and every context-aware
 // entry point promises to stop soon after cancellation. The rules here
 // guard the failure classes no outcome test reliably reaches: exact
 // float compares where a tolerance was meant, unbounded loops that

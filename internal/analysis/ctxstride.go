@@ -7,7 +7,7 @@ import (
 )
 
 // CtxStride enforces the cancellation-stride contract on
-// context-aware code (SolveContext / AnalyzeWorkersCtx / PlaceContext
+// context-aware code (SolveContext / AnalyzeContext / PlaceContext
 // style): a loop whose trip count is not bounded by its own header —
 // `for { ... }` and `for cond { ... }` — must poll cancellation
 // somewhere in its body, directly (ctx.Err(), <-ctx.Done(), a select

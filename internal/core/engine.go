@@ -89,8 +89,8 @@ type Config struct {
 	// wireCongestionWeight.
 	WireCongestion map[arch.Loc]int
 	// Parallelism bounds worker goroutines in the embedder's join
-	// phase and the levelized STA. 1 forces the exact serial path;
-	// results are bit-identical at any setting.
+	// phase; the STA always runs serially. 1 forces the exact serial
+	// path; results are bit-identical at any setting.
 	Parallelism int
 	// Incremental enables exact reuse of deterministic work: DP nodes
 	// whose subtree inputs repeat are served from the engine's node
@@ -506,8 +506,8 @@ func (e *Engine) runIteration(a *timing.Analysis, x extraction, st *Stats) (next
 	return next, true, false, err
 }
 
-// analyze runs a full STA over the engine's current state with the
-// configured worker count, under the run's context.
+// analyze runs a full STA over the engine's current state under the
+// run's context.
 func (e *Engine) analyze() (*timing.Analysis, error) {
 	ctx := e.ctx
 	if ctx == nil {
@@ -515,7 +515,7 @@ func (e *Engine) analyze() (*timing.Analysis, error) {
 	}
 	defer e.timePhase(func(p *PhaseTimes) *float64 { return &p.Analyze })()
 	e.analyses++
-	return timing.AnalyzeWorkersCtx(ctx, e.Netlist, e.Placement, e.Delay, e.Config.Parallelism)
+	return timing.AnalyzeContext(ctx, e.Netlist, e.Placement, e.Delay)
 }
 
 // harvestIncremental copies the run's counters into its stats.

@@ -234,3 +234,11 @@ func TestSolveParallelCapped(t *testing.T) {
 		solveBoth(t, "capped", p, 2, 4)
 	}
 }
+
+// TestSolveParallelHugeWorkerCount pins the worker cap: a Parallelism
+// far beyond the vertex count (here 1<<62, whose join-shard product
+// workers*4 would wrap to zero) solves exactly like the serial pass.
+func TestSolveParallelHugeWorkerCount(t *testing.T) {
+	p := randomProblem(3, 8, 8, 24, Mode{LexDepth: 1}, false)
+	solveBoth(t, "huge-workers", p, 1<<62)
+}

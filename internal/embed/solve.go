@@ -56,11 +56,15 @@ type Problem struct {
 	Bound float64
 }
 
+// workers is the solve's worker count: Parallelism, capped at the
+// vertex count (no join shards finer than one vertex, and the worker
+// count never reaches products that overflow). The result does not
+// depend on it.
 func (p *Problem) workers() int {
 	if p.Parallelism <= 1 {
 		return 1
 	}
-	return p.Parallelism
+	return min(p.Parallelism, p.G.NumVertices())
 }
 
 // capacity is the overlap-control capacity of the slot at v.

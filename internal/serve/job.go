@@ -42,7 +42,7 @@ type JobSpec struct {
 	Effort float64 `json:"effort,omitempty"`
 	// MaxIters caps engine iterations (default: engine default).
 	MaxIters int `json:"max_iters,omitempty"`
-	// Parallelism bounds engine/STA workers (default: all CPUs).
+	// Parallelism bounds the embedder's workers (default: all CPUs).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Route runs the low-stress router after optimization.
 	Route bool `json:"route,omitempty"`

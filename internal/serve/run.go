@@ -71,8 +71,7 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 
-	workers := spec.Parallelism
-	a, err := timing.AnalyzeWorkersCtx(ctx, nl, pl, dm, staWorkers(workers))
+	a, err := timing.AnalyzeContext(ctx, nl, pl, dm)
 	if err != nil {
 		return nil, err
 	}
@@ -95,8 +94,8 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	default:
 		ecfg := core.Default()
 		ecfg.Mode = algo.Mode()
-		if workers > 0 {
-			ecfg.Parallelism = workers
+		if spec.Parallelism > 0 {
+			ecfg.Parallelism = spec.Parallelism
 		}
 		if spec.MaxIters > 0 {
 			ecfg.MaxIters = spec.MaxIters
@@ -117,7 +116,7 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 	}
 	res.EngineSeconds = time.Since(t0).Seconds()
 
-	a, err = timing.AnalyzeWorkersCtx(ctx, nl, pl, dm, staWorkers(workers))
+	a, err = timing.AnalyzeContext(ctx, nl, pl, dm)
 	if err != nil {
 		return nil, err
 	}
@@ -135,15 +134,6 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 		res.WireLength = ls.WireLength
 	}
 	return res, nil
-}
-
-// staWorkers maps a spec's Parallelism (0 = default) to the STA worker
-// count.
-func staWorkers(p int) int {
-	if p > 0 {
-		return p
-	}
-	return core.Default().Parallelism
 }
 
 // resolveNetlist materializes the job's design: parse the inline text

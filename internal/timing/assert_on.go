@@ -12,7 +12,7 @@ import (
 
 // assertEnabled gates the replassert runtime invariant layer for the
 // STA. Built with -tags replassert, every analysis re-derives the
-// forward recurrence serially and demands bitwise agreement; the
+// forward recurrence independently and demands bitwise agreement; the
 // default build compiles the check away (see assert_off.go).
 const assertEnabled = true
 
@@ -21,8 +21,8 @@ const assertEnabled = true
 // analysis results. This is the strongest form of the arrival
 // monotonicity invariant: under a nonnegative delay model the
 // recurrence makes Arr non-decreasing along every combinational path,
-// and bitwise agreement with a serial re-derivation is exactly the
-// determinism contract the levelized parallel passes promise.
+// and an independent re-derivation catches a kernel that reads an
+// arrival before it is final.
 func assertArrivalMonotone(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, a *Analysis) {
 	worst := func(id netlist.CellID) (float64, bool) {
 		c := nl.Cell(id)

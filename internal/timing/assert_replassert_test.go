@@ -17,7 +17,7 @@ func TestAssertEnabledUnderTag(t *testing.T) {
 
 func TestAssertArrivalMonotoneFires(t *testing.T) {
 	nl, loc := chain(t)
-	a, err := AnalyzeWorkers(nl, loc, dm(), 1)
+	a, err := Analyze(nl, loc, dm())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/netlist"
@@ -83,63 +81,44 @@ func ManhattanWire(pl Locator, dm arch.DelayModel) WireDelayFunc {
 	}
 }
 
-// Analyze runs a full STA pass using Manhattan wire delays, with the
-// default worker count (GOMAXPROCS). Results are independent of the
-// worker count.
+// Analyze runs a full STA pass using Manhattan wire delays.
 func Analyze(nl *netlist.Netlist, pl Locator, dm arch.DelayModel) (*Analysis, error) {
-	return AnalyzeWorkers(nl, pl, dm, runtime.GOMAXPROCS(0))
+	return analyzeCustom(context.Background(), nl, ManhattanWire(pl, dm), dm)
 }
 
-// AnalyzeWorkers runs a full STA pass using Manhattan wire delays on
-// the given number of workers; 1 selects the exact serial path. The
-// parallel path levelizes the netlist and fans each level's arrival
-// (and, backward, required-time) computations out across goroutines;
-// it produces bit-identical results to the serial path because each
-// cell's values depend only on earlier (respectively later) levels.
+// AnalyzeContext is Analyze with cooperative cancellation: the pass
+// polls ctx every ctxCheckStride cells and returns ctx.Err() once the
+// context is done, so a cancelled job stops paying for STA over a
+// large netlist.
+func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, pl Locator, dm arch.DelayModel) (*Analysis, error) {
+	return analyzeCustom(ctx, nl, ManhattanWire(pl, dm), dm)
+}
+
+// AnalyzeWorkers is Analyze; workers is ignored. It remains only for
+// the perfbench module, which still calls it.
+//
+// Deprecated: use Analyze.
 func AnalyzeWorkers(nl *netlist.Netlist, pl Locator, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkers(nl, ManhattanWire(pl, dm), dm, workers)
-}
-
-// AnalyzeWorkersCtx is AnalyzeWorkers with cooperative cancellation:
-// the pass checks ctx between levels (and periodically on the serial
-// path) and returns ctx.Err() once the context is done, so a cancelled
-// job stops paying for STA over a large netlist.
-func AnalyzeWorkersCtx(ctx context.Context, nl *netlist.Netlist, pl Locator, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkersCtx(ctx, nl, ManhattanWire(pl, dm), dm, workers)
+	return Analyze(nl, pl, dm)
 }
 
 // AnalyzeCustom runs a full STA pass with an arbitrary per-connection
-// wire delay function, serially.
+// wire delay function.
 func AnalyzeCustom(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel) (*Analysis, error) {
-	return AnalyzeCustomWorkers(nl, wireOf, dm, 1)
+	return analyzeCustom(context.Background(), nl, wireOf, dm)
 }
 
-// minParallelCells gates the levelized parallel path: below this size
-// the per-level goroutine fan-out costs more than the work it splits.
-const minParallelCells = 2048
-
-// minParallelLevel is the smallest level that is worth fanning out.
-const minParallelLevel = 256
-
-// AnalyzeCustomWorkers runs a full STA pass with an arbitrary
-// per-connection wire delay function on the given number of workers.
-// wireOf must be safe for concurrent calls when workers > 1.
-func AnalyzeCustomWorkers(nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, workers int) (*Analysis, error) {
-	return AnalyzeCustomWorkersCtx(context.Background(), nl, wireOf, dm, workers)
-}
-
-// ctxCheckStride is how many serial per-cell steps run between
-// cancellation checks; ctx.Err can take a lock, so the check is
-// amortized over a stride that still reacts within microseconds of
-// work.
+// ctxCheckStride is how many per-cell steps run between cancellation
+// checks; ctx.Err can take a lock, so the check is amortized over a
+// stride that still reacts within microseconds of work.
 const ctxCheckStride = 4096
 
-// AnalyzeCustomWorkersCtx is AnalyzeCustomWorkers under a context.
-// Cancellation is cooperative and coarse-grained — between levelized
-// passes and every ctxCheckStride cells on the serial path — which
-// bounds the overhang to a fraction of one pass. A cancelled analysis
-// returns (nil, ctx.Err()) and never a partial Analysis.
-func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel, workers int) (*Analysis, error) {
+// analyzeCustom is AnalyzeCustom under a context. Cancellation is
+// cooperative — every ctxCheckStride cells of the forward and backward
+// passes — which bounds the overhang to a fraction of one pass. A
+// cancelled analysis returns (nil, ctx.Err()) and never a partial
+// Analysis.
+func analyzeCustom(ctx context.Context, nl *netlist.Netlist, wireOf WireDelayFunc, dm arch.DelayModel) (*Analysis, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -162,54 +141,23 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 		a.Through[i] = math.Inf(-1)
 	}
 
-	// The serial and levelized paths run the same per-cell kernels, so
-	// they evaluate the same float expressions in the same order and
-	// agree bit for bit.
 	p := &pass{nl: nl, wireOf: wireOf, dm: dm, a: a}
-
-	var regs []netlist.CellID
+	for i, id := range order {
+		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		p.forward(id)
+	}
 	for _, id := range order {
 		if c := nl.Cell(id); c.IsSource() && c.IsSink() {
-			regs = append(regs, id)
-		}
-	}
-
-	if workers <= 1 || len(order) < minParallelCells {
-		for i, id := range order {
-			if i%ctxCheckStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			p.forward(id)
-		}
-		for _, id := range regs {
 			p.regArr(id)
 		}
-		for i := len(order) - 1; i >= 0; i-- {
-			if i%ctxCheckStride == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			p.backward(order[i])
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-	} else {
-		// Levelized parallel passes: all cells of one level depend
-		// only on cells of strictly earlier levels (later levels, for
-		// the backward pass), so each level fans out across workers.
-		// Cancellation is checked between levels: a level's workers
-		// always run to completion, so no goroutine outlives the call.
-		levels := levelize(nl, order)
-		for _, lv := range levels {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			runLevel(lv, workers, p.forward)
-		}
-		runLevel(regs, workers, p.regArr)
-		for i := len(levels) - 1; i >= 0; i-- {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			runLevel(levels[i], workers, p.backward)
-		}
+		p.backward(order[i])
 	}
 
 	a.reducePeriod(order)
@@ -223,10 +171,8 @@ func AnalyzeCustomWorkersCtx(ctx context.Context, nl *netlist.Netlist, wireOf Wi
 }
 
 // pass bundles the inputs of one STA evaluation. Its methods are the
-// per-cell kernels the serial and levelized paths share: each computes
-// its cell's outputs with a fixed float expression order from values
-// of earlier (forward) or later (backward) cells only, which is what
-// lets a level's cells run concurrently with bit-identical results.
+// per-cell kernels: each computes its cell's outputs from values of
+// earlier (forward) or later (backward) cells in topological order.
 type pass struct {
 	nl     *netlist.Netlist
 	wireOf WireDelayFunc
@@ -335,8 +281,7 @@ func (p *pass) backward(id netlist.CellID) {
 // reducePeriod recomputes Period/CritSink and the runner-up
 // SecondArr/SecondSink by scanning sink arrivals over ids in
 // topological order (first sink to strictly exceed the running maximum
-// wins), so serial and parallel passes agree on tie-breaking.
-// Non-sinks carry SinkArr = -Inf and are skipped.
+// wins). Non-sinks carry SinkArr = -Inf and are skipped.
 func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 	a.Period = math.Inf(-1)
 	a.CritSink = 0
@@ -357,67 +302,6 @@ func (a *Analysis) reducePeriod(ids []netlist.CellID) {
 			a.SecondSink = id
 		}
 	}
-}
-
-// levelize buckets the live cells by combinational depth: sources at
-// level 0, every other cell one past its deepest fanin driver. Within
-// a level cells keep their topological order, so chunked reductions
-// stay deterministic.
-func levelize(nl *netlist.Netlist, order []netlist.CellID) [][]netlist.CellID {
-	lvl := make([]int32, nl.Cap())
-	maxl := int32(0)
-	for _, id := range order {
-		c := nl.Cell(id)
-		if c.IsSource() {
-			continue // level 0
-		}
-		l := int32(0)
-		for _, net := range c.Fanin {
-			if net == netlist.None {
-				continue
-			}
-			u := nl.Net(net).Driver
-			if lvl[u]+1 > l {
-				l = lvl[u] + 1
-			}
-		}
-		lvl[id] = l
-		if l > maxl {
-			maxl = l
-		}
-	}
-	levels := make([][]netlist.CellID, maxl+1)
-	for _, id := range order {
-		levels[lvl[id]] = append(levels[lvl[id]], id)
-	}
-	return levels
-}
-
-// runLevel applies fn to every cell of one level, fanning out across
-// workers when the level is wide enough to amortize the goroutines.
-func runLevel(cells []netlist.CellID, workers int, fn func(netlist.CellID)) {
-	if workers <= 1 || len(cells) < minParallelLevel {
-		for _, id := range cells {
-			fn(id)
-		}
-		return
-	}
-	chunk := (len(cells) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(cells); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wg.Add(1)
-		go func(span []netlist.CellID) {
-			defer wg.Done()
-			for _, id := range span {
-				fn(id)
-			}
-		}(cells[lo:hi])
-	}
-	wg.Wait()
 }
 
 // Slack returns Period minus the slowest path through cell id; cells on

@@ -130,6 +130,38 @@ func TestAnalyzeConvergingPaths(t *testing.T) {
 	}
 }
 
+// TestRegisteredSinkArrivalOrdering pins the fix for registered sinks
+// fed by combinational logic: the register's input arrival must see
+// its drivers' final arrival times, even though the topological order
+// places timing sources before the logic that feeds them.
+func TestRegisteredSinkArrivalOrdering(t *testing.T) {
+	n := netlist.New("regorder")
+	i := n.AddCell("i", netlist.IPad, 0)
+	a := n.AddCell("a", netlist.LUT, 1)
+	n.ConnectByName(a.ID, 0, "i")
+	r := n.AddCell("r", netlist.LUT, 1)
+	r.Registered = true
+	n.ConnectByName(r.ID, 0, "a")
+	o := n.AddCell("o", netlist.OPad, 1)
+	n.ConnectByName(o.ID, 0, "r")
+	loc := mapLoc{i.ID: {X: 0, Y: 1}, a.ID: {X: 2, Y: 1}, r.ID: {X: 4, Y: 1}, o.ID: {X: 5, Y: 1}}
+	an, err := Analyze(n, loc, dm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arr[a] = 2 wire + 2 LUT = 4; r's input path = 4 + 2 wire + 2
+	// LUT intrinsic = 8, which is also the critical path.
+	if got := an.Arr[a.ID]; got != 4 {
+		t.Errorf("Arr[a] = %v, want 4", got)
+	}
+	if got := an.SinkArr[r.ID]; got != 8 {
+		t.Errorf("SinkArr[r] = %v, want 8 (stale driver arrival used)", got)
+	}
+	if an.Period != 8 || an.CritSink != r.ID {
+		t.Errorf("Period %v at %v, want 8 at r", an.Period, an.CritSink)
+	}
+}
+
 func TestNoSinksError(t *testing.T) {
 	n := netlist.New("nosink")
 	n.AddCell("i", netlist.IPad, 0)
