@@ -48,8 +48,9 @@ vet:
 
 # replint is the project's own static analyzer (cmd/replint): floatcmp
 # (exact float compares), ctxstride (cancellation polling in unbounded
-# loops), shardwrite (worker-shard writes) and wgleak (WaitGroup joins),
-# the four rules that alone reported a seeded bug no test caught.
+# loops) and wgleak (WaitGroup joins), the three rules that alone
+# reported a seeded bug no test caught. Worker-shard writes are left to
+# the race suites (race, serve-race).
 # Zero unsuppressed findings is part of `make check`; see
 # `go run ./cmd/replint -rules` for the catalog.
 lint:

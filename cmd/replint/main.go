@@ -19,11 +19,7 @@
 // in every output mode. With -json, output is an object
 // {"findings": [...]} where findings carry
 // {file, line, col, rule, msg, suppressed, reason} — suppressed
-// findings included and flagged. With -sarif, findings are emitted as
-// a SARIF 2.1.0 log suitable for GitHub code scanning upload:
-// unsuppressed findings are level=error, suppressed ones are
-// level=note with an inSource suppression carrying the directive's
-// justification.
+// findings included and flagged.
 //
 // Exit status is 1 when any unsuppressed finding (or malformed replint
 // directive) is reported, 2 on operational errors.
@@ -67,7 +63,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "also show suppressed findings and type-check diagnostics")
 	dir := fs.String("C", "", "change to this directory before resolving the module root")
 	asJSON := fs.Bool("json", false, "emit a JSON object {findings} (suppressed findings included, flagged)")
-	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log (suppressed findings included as suppressed notes)")
 	fs.Parse(argv)
 
 	if *rules {
@@ -155,17 +150,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	analysis.SortFindings(all)
 
-	machine := *asJSON || *asSARIF
 	bad := 0
 	for _, f := range all {
 		if f.Suppressed {
-			if !machine && *verbose {
+			if !*asJSON && *verbose {
 				fmt.Fprintf(stdout, "%s:%d:%d: %s: %s [suppressed: %s]\n",
 					f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg, f.Reason)
 			}
 			continue
 		}
-		if !machine {
+		if !*asJSON {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 		}
 		bad++
@@ -183,14 +177,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, "replint:", err)
-			return 2
-		}
-	}
-	if *asSARIF {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifReport(analysis.All(), all)); err != nil {
 			fmt.Fprintln(stderr, "replint:", err)
 			return 2
 		}

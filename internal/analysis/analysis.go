@@ -8,15 +8,15 @@
 // entry point promises to stop soon after cancellation. The rules here
 // guard the failure classes no outcome test reliably reaches: exact
 // float compares where a tolerance was meant, unbounded loops that
-// never poll cancellation, worker writes to shared state without a
-// disjointness argument, and goroutines launched without a sound join.
+// never poll cancellation, and goroutines launched without a sound
+// join. Shared writes from worker goroutines are left to the race
+// tests.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -39,35 +39,14 @@ func (f Finding) String() string {
 // Pass is the per-package context handed to each analyzer.
 type Pass struct {
 	Pkg *Package
-	// Mod is the whole-module dataflow context; never nil.
+	// Mod is the whole-module context (call graph, summaries, CFG
+	// cache); never nil.
 	Mod    *Module
 	report func(pos token.Pos, rule, msg string)
 }
 
 // Report records a finding at pos under the given rule.
 func (p *Pass) Report(pos token.Pos, rule, msg string) { p.report(pos, rule, msg) }
-
-// TypeOf returns the type of expr, or nil when type checking did not
-// resolve it (best-effort under type errors).
-func (p *Pass) TypeOf(expr ast.Expr) types.Type {
-	if tv, ok := p.Pkg.Info.Types[expr]; ok {
-		return tv.Type
-	}
-	if id, ok := expr.(*ast.Ident); ok {
-		if obj := p.ObjectOf(id); obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// ObjectOf returns the object an identifier denotes, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if obj := p.Pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Pkg.Info.Defs[id]
-}
 
 // Analyzer is one replint rule.
 type Analyzer struct {
@@ -83,7 +62,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
 		CtxStride,
-		ShardWrite,
 		WGLeak,
 	}
 }
@@ -150,29 +128,6 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Msg < b.Msg
 	})
-}
-
-// rootObject unwraps selectors/indexes/parens/stars down to the base
-// identifier's object.
-func rootObject(pass *Pass, e ast.Expr) types.Object {
-	for {
-		switch ex := e.(type) {
-		case *ast.Ident:
-			return pass.ObjectOf(ex)
-		case *ast.SelectorExpr:
-			e = ex.X
-		case *ast.IndexExpr:
-			e = ex.X
-		case *ast.ParenExpr:
-			e = ex.X
-		case *ast.StarExpr:
-			e = ex.X
-		case *ast.CallExpr:
-			e = ex.Fun
-		default:
-			return nil
-		}
-	}
 }
 
 // exprString renders a short source form of e for messages.

@@ -28,9 +28,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Module mode, exactly as cmd/replint runs: the whole fixture
-	// module is loaded and summarized once, so the interprocedural
-	// rules (ctxstride, shardwrite) see the same call-graph and
-	// write-through facts they would in the real tree.
+	// module is loaded and summarized once, so ctxstride and wgleak
+	// see the same call-graph and polls facts they would in the real
+	// tree.
 	mod, err := BuildModule(loader)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -29,13 +28,12 @@ import (
 //   - comparisons inside a function literal passed directly to a sort
 //     or slices call: a comparator must induce a strict weak ordering,
 //     and an epsilon tie there would break transitivity — exact
-//     comparison is the only correct choice in that position;
-//   - comparisons against literal 0 where the
-//     compared storage is never written by arithmetic anywhere in the
-//     module — the zero-means-unset idiom for optional config fields.
-//     0 there can only be the zero value or an explicitly stored
-//     constant, both exact by construction; the def-use pass proves
-//     the absence of arithmetic writes (see zeroSentinelExempt).
+//     comparison is the only correct choice in that position.
+//
+// A zero-means-unset compare on a config field (`if s.Scale == 0`) is
+// exact by construction too, but the rule cannot tell it from a cost
+// that happens to sum to 0: each one carries a //replint:ignore with
+// its reason.
 const floatCmpRule = "floatcmp"
 
 var FloatCmp = &Analyzer{
@@ -92,7 +90,7 @@ func runFloatCmp(pass *Pass) {
 				if ex.Op != token.EQL && ex.Op != token.NEQ {
 					return true
 				}
-				if !isFloat(pass.TypeOf(ex.X)) && !isFloat(pass.TypeOf(ex.Y)) {
+				if !isFloat(pass.Pkg.typeOf(ex.X)) && !isFloat(pass.Pkg.typeOf(ex.Y)) {
 					return true
 				}
 				if inHelper(ex.Pos()) || inComparator(ex.Pos()) || isInfSentinel(ex.X) || isInfSentinel(ex.Y) {
@@ -101,14 +99,11 @@ func runFloatCmp(pass *Pass) {
 				if isConstExpr(pass, ex.X) && isConstExpr(pass, ex.Y) {
 					return true
 				}
-				if zeroUnsetCompare(pass, file, ex) {
-					return true
-				}
 				pass.Report(ex.OpPos, floatCmpRule, fmt.Sprintf(
 					"exact %s on float operands %s and %s; compare with an epsilon or designate the enclosing function //replint:floatcmp-helper",
 					ex.Op, exprString(ex.X), exprString(ex.Y)))
 			case *ast.SwitchStmt:
-				if ex.Tag == nil || !isFloat(pass.TypeOf(ex.Tag)) {
+				if ex.Tag == nil || !isFloat(pass.Pkg.typeOf(ex.Tag)) {
 					return true
 				}
 				if inHelper(ex.Pos()) {
@@ -121,35 +116,6 @@ func runFloatCmp(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// zeroUnsetCompare recognizes the zero-means-unset idiom: one operand
-// is the literal constant 0 and the other is storage the whole-module
-// facts prove is never arithmetic-written.
-func zeroUnsetCompare(pass *Pass, file *ast.File, ex *ast.BinaryExpr) bool {
-	var other ast.Expr
-	switch {
-	case isZeroConst(pass, ex.X):
-		other = ex.Y
-	case isZeroConst(pass, ex.Y):
-		other = ex.X
-	default:
-		return false
-	}
-	fn := enclosingFuncDecl(file, int(ex.Pos()))
-	return zeroSentinelExempt(pass.Mod, pass.Pkg, fn, other)
-}
-
-func isZeroConst(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Pkg.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	switch tv.Value.Kind() {
-	case constant.Int, constant.Float:
-		return constant.Sign(tv.Value) == 0
-	}
-	return false
 }
 
 func isFloat(t types.Type) bool {

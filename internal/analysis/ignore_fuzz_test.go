@@ -20,7 +20,7 @@ import (
 func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//replint:ignore floatcmp -- bitwise tie is the intended semantics",
-		"//replint:ignore floatcmp,shardwrite -- two rules, one reason",
+		"//replint:ignore floatcmp,wgleak -- two rules, one reason",
 		"//replint:ignore floatcmp --",
 		"//replint:ignore floatcmp",
 		"//replint:ignore -- no rules",

@@ -39,6 +39,20 @@ type Package struct {
 	TypeErrors []error
 }
 
+// typeOf returns the type of e, or nil when type checking did not
+// resolve it.
+func (pkg *Package) typeOf(e ast.Expr) types.Type {
+	if tv, ok := pkg.Info.Types[e]; ok {
+		return tv.Type
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if obj := pkg.Info.ObjectOf(id); obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
+}
+
 // Loader loads module-local packages with the standard library resolved
 // from GOROOT source — no go/packages, no network, no export data.
 type Loader struct {

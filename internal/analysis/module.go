@@ -9,13 +9,11 @@ import (
 
 // Module is the whole-module analysis context: every package of the
 // module loaded through one Loader, plus the interprocedural summaries
-// the rules consume — the call graph, per-function def-use tables, the
-// module-wide storage (arithmetic-write) facts, the write-through
-// parameter summary, and the cancellation-polling summary.
+// the rules consume — the call graph and the cancellation-polling
+// summary.
 //
-// Per-file syntactic rules work from a Pass alone; the interprocedural
-// rules (ctxstride, shardwrite), the flow-sensitive wgleak and the
-// floatcmp zero-sentinel exemption consult Pass.Mod.
+// The syntactic floatcmp works from a Pass alone; the interprocedural
+// ctxstride and the flow-sensitive wgleak consult Pass.Mod.
 type Module struct {
 	Loader *Loader
 	// Pkgs are all packages of the module in import-path order.
@@ -29,11 +27,8 @@ type Module struct {
 	byObj  map[*types.Func]*ModFunc
 	byPath map[string]*Package
 
-	cg         *callGraph
-	defuse     map[*types.Func]*defUse
-	facts      *storageFacts
-	writeParam map[*types.Func]map[int]bool // see buildWriteParam
-	polls      map[*types.Func]bool         // transitively polls cancellation
+	cg    *callGraph
+	polls map[*types.Func]bool // transitively polls cancellation
 
 	// Flow-sensitive layer: noreturn summaries threaded into CFG
 	// construction and the per-body CFG cache.
@@ -70,7 +65,6 @@ func BuildModule(loader *Loader) (*Module, error) {
 		Loader: loader,
 		byObj:  map[*types.Func]*ModFunc{},
 		byPath: map[string]*Package{},
-		defuse: map[*types.Func]*defUse{},
 	}
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
@@ -81,13 +75,8 @@ func BuildModule(loader *Loader) (*Module, error) {
 		m.byPath[path] = pkg
 	}
 	m.collectFuncs()
-	for _, f := range m.Funcs {
-		m.defuse[f.Obj] = buildDefUse(f.Pkg, f.Decl)
-	}
 	m.impls = collectImplementations(m)
 	m.cg = buildCallGraph(m)
-	m.facts = buildStorageFacts(m)
-	m.writeParam = buildWriteParam(m)
 	m.polls = buildPollsSummary(m)
 	m.noreturn = buildNoReturn(m)
 	m.cfgs = map[*ast.BlockStmt]*cfg{}
@@ -207,19 +196,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
 			return f
-		}
-	}
-	return nil
-}
-
-// enclosingFuncDecl finds the FuncDecl whose body spans pos in the
-// file, or nil for package-level positions.
-func enclosingFuncDecl(file *ast.File, pos int) *ast.FuncDecl {
-	for _, d := range file.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
-			if int(fn.Pos()) <= pos && pos <= int(fn.End()) {
-				return fn
-			}
 		}
 	}
 	return nil

@@ -88,7 +88,7 @@ func launchBody(mod *Module, pkg *Package, decl *ast.FuncDecl, gs *ast.GoStmt) (
 	if mf == nil {
 		return nil, nil, nil
 	}
-	_, params := signatureObjects(mf)
+	params := paramObjects(mf)
 	argmap := map[types.Object]ast.Expr{}
 	for i, p := range params {
 		if p != nil && i < len(gs.Call.Args) {
@@ -364,4 +364,104 @@ func syncCall(pkg *Package, call *ast.CallExpr) (typ, method string, recv ast.Ex
 		return "", "", nil
 	}
 	return named.Obj().Name(), f.Name(), sel.X
+}
+
+// launchedLiteral resolves `go f()` to a function literal: either
+// written in place or bound to a local whose single definition is a
+// literal.
+func launchedLiteral(pkg *Package, decl *ast.FuncDecl, call *ast.CallExpr) *ast.FuncLit {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.FuncLit:
+		return fun
+	case *ast.Ident:
+		obj := pkg.Info.ObjectOf(fun)
+		if obj == nil {
+			return nil
+		}
+		var found *ast.FuncLit
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || pkg.Info.ObjectOf(id) != obj {
+					continue
+				}
+				if lit, ok := as.Rhs[i].(*ast.FuncLit); ok {
+					found = lit
+				}
+			}
+			return true
+		})
+		return found
+	}
+	return nil
+}
+
+// paramObjects returns the parameter objects of a declared function,
+// nil for an unnamed parameter.
+func paramObjects(f *ModFunc) []types.Object {
+	var params []types.Object
+	if f.Decl.Type.Params != nil {
+		for _, fl := range f.Decl.Type.Params.List {
+			if len(fl.Names) == 0 {
+				params = append(params, nil) // unnamed parameter
+				continue
+			}
+			for _, name := range fl.Names {
+				params = append(params, f.Pkg.Info.Defs[name])
+			}
+		}
+	}
+	return params
+}
+
+// deref unwraps a leading & so the storage root of `&x.f` is x.f.
+func deref(e ast.Expr) ast.Expr {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		return u.X
+	}
+	return e
+}
+
+// storageRoot resolves an expression to the storage object its value
+// lives in (or that a write through it lands in): an identifier's
+// object, a selector's *field* object, a container for index
+// expressions, the pointer variable for derefs. Returns nil for
+// calls, literals, and anything else without stable storage.
+func storageRoot(pkg *Package, e ast.Expr) types.Object {
+	switch ex := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := pkg.Info.ObjectOf(ex)
+		if _, ok := obj.(*types.Var); ok {
+			return obj
+		}
+		return nil
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[ex]; ok && sel.Kind() == types.FieldVal {
+			return sel.Obj()
+		}
+		// Qualified identifier (pkg.Var).
+		if obj, ok := pkg.Info.Uses[ex.Sel].(*types.Var); ok {
+			return obj
+		}
+		return nil
+	case *ast.IndexExpr:
+		return storageRoot(pkg, ex.X)
+	case *ast.StarExpr:
+		return storageRoot(pkg, ex.X)
+	case *ast.TypeAssertExpr:
+		return storageRoot(pkg, ex.X)
+	case *ast.CallExpr:
+		// Conversions pass the value through.
+		if len(ex.Args) == 1 {
+			if tv, ok := pkg.Info.Types[ex.Fun]; ok && tv.IsType() {
+				return storageRoot(pkg, ex.Args[0])
+			}
+		}
+		return nil
+	}
+	return nil
 }

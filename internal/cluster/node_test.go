@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,13 @@ type testCluster struct {
 // to a Store override (nil entries and missing keys get MemStores).
 func startCluster(t *testing.T, ids []string, stores map[string]Store) *testCluster {
 	t.Helper()
+	return startClusterRunner(t, ids, stores, nil)
+}
+
+// startClusterRunner is startCluster with every member's manager
+// running jobs through runner (nil: the real ExecuteJob).
+func startClusterRunner(t *testing.T, ids []string, stores map[string]Store, runner serve.Runner) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		ids:      ids,
 		nodes:    map[string]*Node{},
@@ -81,6 +89,7 @@ func startCluster(t *testing.T, ids []string, stores map[string]Store) *testClus
 			Workers:        2,
 			QueueDepth:     32,
 			DefaultTimeout: time.Minute,
+			Runner:         runner,
 		})
 		n, err := NewNode(m, Config{
 			NodeID: id,
@@ -603,27 +612,7 @@ func TestClusterConcurrentWatchers(t *testing.T) {
 		specs[i] = smallSpec()
 		specs[i].Seed = 71 + int64(i) // distinct hashes from other tests in the run
 	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec serve.JobSpec) {
-			defer wg.Done()
-			<-start
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			st, err := tc.client("solo").Run(ctx, spec, 20*time.Millisecond)
-			if err != nil {
-				t.Errorf("job %d: %v", i, err)
-				return
-			}
-			if st.State != serve.StateDone {
-				t.Errorf("job %d: state %s (%s)", i, st.State, st.Error)
-			}
-		}(i, spec)
-	}
-	close(start)
-	wg.Wait()
+	tc.runAtOnce(t, "solo", specs, serve.StateDone)
 	if t.Failed() {
 		return
 	}
@@ -645,5 +634,76 @@ func TestClusterConcurrentWatchers(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// runAtOnce submits specs through member id all at once and checks
+// that every job ends in state want.
+func (tc *testCluster) runAtOnce(t *testing.T, id string, specs []serve.JobSpec, want serve.State) {
+	t.Helper()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec serve.JobSpec) {
+			defer wg.Done()
+			<-start
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			st, err := tc.client(id).Run(ctx, spec, 20*time.Millisecond)
+			if err != nil {
+				t.Errorf("job %d: %v", i, err)
+				return
+			}
+			if st.State != want {
+				t.Errorf("job %d: state %s (%s), want %s", i, st.State, st.Error, want)
+			}
+		}(i, spec)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestClusterConcurrentFailedWatchers is TestClusterConcurrentWatchers
+// on the failure branch: eight distinct jobs fail at once on one node,
+// so their watchers retire together, which is when the race detector
+// can see an unsynchronized write there. It also pins the retirement
+// contract: a failed job replicates no result (no version-2 record)
+// and leaves the singleflight set, so resubmitting its spec executes
+// it again instead of coalescing onto, or serving, the failure.
+func TestClusterConcurrentFailedWatchers(t *testing.T) {
+	tc := startClusterRunner(t, []string{"solo"}, nil, func(context.Context, serve.JobSpec) (*serve.Result, error) {
+		return nil, errors.New("synthetic failure")
+	})
+	specs := make([]serve.JobSpec, 8)
+	for i := range specs {
+		specs[i] = smallSpec()
+		specs[i].Seed = 81 + int64(i)
+	}
+	tc.runAtOnce(t, "solo", specs, serve.StateFailed)
+	if t.Failed() {
+		return
+	}
+	node := tc.nodes["solo"]
+	if !node.WaitSettled(5 * time.Second) {
+		t.Fatal("failed jobs never left the singleflight set")
+	}
+	for _, spec := range specs {
+		h, err := HashSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, found, _ := node.store.Get(h); found && rec.Version >= 2 {
+			t.Errorf("failed job %s replicated version %d (%s)", h, rec.Version, rec.State)
+		}
+	}
+	if got := node.Snapshot().Dedup.Executed; got != int64(len(specs)) {
+		t.Fatalf("%d executions for %d distinct specs", got, len(specs))
+	}
+	if st := tc.runOn(t, "solo", specs[0]); st.State != serve.StateFailed {
+		t.Errorf("resubmitted spec: state %s, want failed", st.State)
+	}
+	if got := node.Snapshot().Dedup.Executed; got != int64(len(specs))+1 {
+		t.Errorf("resubmitting a failed spec made %d executions, want %d", got, len(specs)+1)
 	}
 }

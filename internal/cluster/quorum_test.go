@@ -63,6 +63,12 @@ func (f *fakeReplica) Fetch(ctx context.Context, h Hash) (Record, bool, error) {
 // newTestQuorum builds a quorum over m fake replicas named n1..nm.
 func newTestQuorum(t *testing.T, m int, cfg QuorumConfig) (*Quorum, map[string]*fakeReplica) {
 	t.Helper()
+	return newTestQuorumRepair(t, m, cfg, context.Background())
+}
+
+// newTestQuorumRepair is newTestQuorum with the given repair context.
+func newTestQuorumRepair(t *testing.T, m int, cfg QuorumConfig, repairCtx context.Context) (*Quorum, map[string]*fakeReplica) {
+	t.Helper()
 	var (
 		ids      []string
 		replicas []Replica
@@ -79,7 +85,7 @@ func newTestQuorum(t *testing.T, m int, cfg QuorumConfig) (*Quorum, map[string]*
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewQuorum(ring, replicas, cfg, context.Background())
+	q, err := NewQuorum(ring, replicas, cfg, repairCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +279,27 @@ func TestQuorumStragglerOutlivesCaller(t *testing.T) {
 			t.Fatal("slow replica never stored the record after the caller cancelled")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestQuorumWriteAfterRepairCancel writes through a quorum whose
+// repair context is already cancelled, as after the owning node's
+// Close: every owner goroutine takes the expired-context branch, which
+// no other test reaches, so the race detector sees its writes. Each
+// write must fail and no replica may store anything.
+func TestQuorumWriteAfterRepairCancel(t *testing.T) {
+	repairCtx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q, fakes := newTestQuorumRepair(t, 3, QuorumConfig{N: 3, R: 2, W: 2}, repairCtx)
+	for i := 0; i < 20; i++ {
+		if err := q.Write(context.Background(), doneRec(testHash(100+i), 1, "n1")); err == nil {
+			t.Fatalf("write %d succeeded after the repair context was cancelled", i)
+		}
+	}
+	for id, f := range fakes {
+		if n := f.puts.Load(); n != 0 {
+			t.Errorf("replica %s stored %d records", id, n)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add(``)
 	f.Add(`[1,2,3]`)
 	f.Add(`{"scale":1e309}`)
+	f.Add(`{"circuit":"ex5p","effort":1e308}`)
 	f.Add("{\"circuit\":\"\x00\xff\"}")
 	// Racing / QoS surface: unknown variant names, empty and duplicate
 	// variant lists, NaN-adjacent / zero / negative bounds, bad classes.

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -92,6 +93,18 @@ func (s *JobSpec) Deadline() bool {
 // parser's line-buffer cap) so a single request cannot exhaust memory.
 const maxInlineNetlist = 16 << 20
 
+// maxEffort caps the placer effort at 10× VPR's default of 10. The
+// annealer converts effort·n^(4/3) to an int moves-per-temperature
+// count, and an out-of-range conversion is implementation-defined in
+// Go (amd64 yields math.MinInt64, which the annealer's floor turns into
+// 32 moves), so an unbounded effort could serve different results for
+// one content hash on nodes of different architectures.
+const maxEffort = 100.0
+
+// ErrEffortRange rejects a spec whose effort exceeds maxEffort or is
+// NaN.
+var ErrEffortRange = errors.New("serve: effort out of range")
+
 // Normalized returns the spec with every semantic default applied:
 // the canonical algorithm spelling, seed 1, the service effort and
 // scale defaults, and — for inline-netlist jobs — the circuit/scale
@@ -119,13 +132,14 @@ func (s JobSpec) Normalized() JobSpec {
 	if n.Seed == 0 {
 		n.Seed = 1
 	}
+	//replint:ignore floatcmp -- 0 is the unset JSON field, never a computed effort
 	if n.Effort == 0 {
 		n.Effort = defaultEffort
 	}
 	if n.Netlist != "" {
 		n.Circuit = ""
 		n.Scale = 0
-	} else if n.Scale == 0 {
+	} else if n.Scale == 0 { //replint:ignore floatcmp -- 0 is the unset JSON field, never a computed scale
 		n.Scale = defaultScale
 	}
 	return n
@@ -202,6 +216,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("unknown algorithm %q (valid: %s, %s)",
 				s.Algo, strings.Join(flow.AlgorithmNames(), ", "), AlgoRace)
 		}
+		//replint:ignore floatcmp -- any bound but the unset 0 is rejected here, however small
 		if len(s.RaceVariants) > 0 || s.PeriodBound != 0 {
 			return fmt.Errorf("race_variants/period_bound require algo %q", AlgoRace)
 		}
@@ -216,6 +231,9 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.TimeoutMS < 0 || s.MaxIters < 0 || s.Parallelism < 0 || s.Effort < 0 {
 		return fmt.Errorf("negative tuning field")
+	}
+	if math.IsNaN(s.Effort) || s.Effort > maxEffort {
+		return fmt.Errorf("%w: %v not in [0, %v]", ErrEffortRange, s.Effort, maxEffort)
 	}
 	if s.Netlist != "" {
 		// Parse once at admission so syntax errors come back on the

@@ -352,8 +352,13 @@ func (m *Manager) runOne(j *job) {
 		return
 	}
 	timeout := m.cfg.DefaultTimeout
-	if j.spec.TimeoutMS > 0 {
-		timeout = time.Duration(j.spec.TimeoutMS) * time.Millisecond
+	if ms := j.spec.TimeoutMS; ms > 0 {
+		// Clamp in milliseconds: a huge timeout_ms would overflow the
+		// Duration product into a zero or negative deadline.
+		timeout = m.cfg.MaxTimeout
+		if ms <= int(m.cfg.MaxTimeout/time.Millisecond) {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if timeout > m.cfg.MaxTimeout {
 		timeout = m.cfg.MaxTimeout

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,6 +181,29 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClampsToMax submits timeout_ms values whose Duration
+// product overflows int64 (to 0 and to a negative duration): each must
+// run under MaxTimeout and finish, not expire before it starts.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	m := NewManager(Config{Workers: 1, Runner: sleepRunner(time.Millisecond)})
+	defer m.Shutdown(context.Background())
+	for _, ms := range []int{1 << 62, 9223372036855} {
+		spec := stubSpec()
+		spec.TimeoutMS = ms
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit timeout_ms %d: %v", ms, err)
+		}
+		fin, err := m.Wait(context.Background(), st.ID)
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if fin.State != StateDone {
+			t.Errorf("timeout_ms %d: state = %s (err %q), want done", ms, fin.State, fin.Error)
+		}
+	}
+}
+
 func TestCancelQueuedAndRunning(t *testing.T) {
 	block := make(chan struct{})
 	m := NewManager(Config{
@@ -316,6 +341,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if c := m.Counters(); c.JobsAccepted != 0 {
 		t.Fatalf("invalid specs consumed queue slots: %+v", c)
+	}
+}
+
+// TestValidateEffortRange pins the effort cap: past maxEffort the
+// annealer's moves-per-temperature conversion leaves int range, so
+// such specs are rejected with ErrEffortRange before they queue.
+func TestValidateEffortRange(t *testing.T) {
+	spec, err := DecodeSpec(strings.NewReader(`{"circuit":"ex5p","effort":1e308}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); !errors.Is(err, ErrEffortRange) {
+		t.Errorf("effort 1e308: Validate = %v, want ErrEffortRange", err)
+	}
+	for _, effort := range []float64{maxEffort + 0.5, math.Inf(1), math.NaN()} {
+		spec := JobSpec{Circuit: "ex5p", Effort: effort}
+		if err := spec.Validate(); !errors.Is(err, ErrEffortRange) {
+			t.Errorf("effort %v: Validate = %v, want ErrEffortRange", effort, err)
+		}
+	}
+	for _, effort := range []float64{0, 1, maxEffort} {
+		spec := JobSpec{Circuit: "ex5p", Effort: effort}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("effort %v: Validate = %v, want nil", effort, err)
+		}
 	}
 }
 

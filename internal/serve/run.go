@@ -137,7 +137,8 @@ func ExecuteJob(ctx context.Context, spec JobSpec) (*Result, error) {
 }
 
 // resolveNetlist materializes the job's design: parse the inline text
-// or generate the named suite circuit at the requested scale.
+// or generate the named suite circuit at the requested scale. spec is
+// normalized, so a suite circuit's scale is already defaulted.
 func resolveNetlist(spec JobSpec) (*netlist.Netlist, error) {
 	if spec.Netlist != "" {
 		nl, err := netlist.Read(strings.NewReader(spec.Netlist))
@@ -150,11 +151,5 @@ func resolveNetlist(spec JobSpec) (*netlist.Netlist, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown circuit %q", spec.Circuit)
 	}
-	// Normalized() applied the default scale; the guard keeps direct
-	// callers with a raw spec safe.
-	scale := spec.Scale
-	if scale == 0 {
-		scale = defaultScale
-	}
-	return circuits.Generate(mc.Spec(scale))
+	return circuits.Generate(mc.Spec(spec.Scale))
 }
